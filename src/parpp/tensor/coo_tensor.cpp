@@ -42,6 +42,50 @@ void CooTensor::push(std::span<const index_t> idx, double value) {
   coalesced_ = false;
 }
 
+std::vector<index_t> CooTensor::sorted_order(
+    std::span<const int> key_modes) const {
+  constexpr int kDigitBits = 16;
+  constexpr index_t kDigitMask = (index_t{1} << kDigitBits) - 1;
+  const auto count = static_cast<std::size_t>(nnz());
+  // Until the first pass, the order is the storage order and `sorted` stays
+  // empty: a one-pass sort holds a single nnz-sized array.
+  bool storage_order = true;
+  std::vector<index_t> sorted, next;
+  std::vector<std::size_t> bucket_start;
+  // LSD: least significant key mode first, and within a mode its least
+  // significant digit first. Every pass is stable, so ties on the digits
+  // sorted so far keep the order the earlier passes left.
+  for (auto it = key_modes.rbegin(); it != key_modes.rend(); ++it) {
+    const int m = *it;
+    const index_t top = extent(m) - 1;
+    for (int shift = 0; shift < 64 && (top >> shift) > 0;
+         shift += kDigitBits) {
+      const auto digit = [&](index_t e) {
+        return static_cast<std::size_t>((index(e, m) >> shift) & kDigitMask);
+      };
+      const auto buckets =
+          static_cast<std::size_t>(std::min(kDigitMask, top >> shift)) + 1;
+      bucket_start.assign(buckets + 1, 0);
+      // The histogram does not depend on the current order: scan storage.
+      for (index_t e = 0; e < nnz(); ++e) ++bucket_start[digit(e) + 1];
+      std::partial_sum(bucket_start.begin(), bucket_start.end(),
+                       bucket_start.begin());
+      next.resize(count);
+      for (std::size_t p = 0; p < count; ++p) {
+        const index_t e = storage_order ? static_cast<index_t>(p) : sorted[p];
+        next[bucket_start[digit(e)]++] = e;
+      }
+      sorted.swap(next);
+      storage_order = false;
+    }
+  }
+  if (storage_order) {
+    sorted.resize(count);
+    std::iota(sorted.begin(), sorted.end(), index_t{0});
+  }
+  return sorted;
+}
+
 void CooTensor::coalesce() {
   if (coalesced_) return;
   const int n = order();
@@ -68,15 +112,11 @@ void CooTensor::coalesce() {
       return;
     }
   }
-  std::vector<index_t> perm(static_cast<std::size_t>(count));
-  std::iota(perm.begin(), perm.end(), index_t{0});
-  // stable_sort keeps duplicates in push order, so their merged sum is
-  // deterministic regardless of the sort implementation.
-  std::stable_sort(perm.begin(), perm.end(), [&](index_t a, index_t b) {
-    const index_t* pa = idx_.data() + a * n;
-    const index_t* pb = idx_.data() + b * n;
-    return std::lexicographical_compare(pa, pa + n, pb, pb + n);
-  });
+  // A stable order keeps duplicates in push order, so their merged sum is
+  // deterministic.
+  std::vector<int> modes(static_cast<std::size_t>(n));
+  std::iota(modes.begin(), modes.end(), 0);
+  const std::vector<index_t> perm = sorted_order(modes);
 
   std::vector<index_t> new_idx;
   std::vector<double> new_vals;

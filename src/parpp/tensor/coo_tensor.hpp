@@ -48,6 +48,14 @@ class CooTensor {
     return vals_[static_cast<std::size_t>(entry)];
   }
 
+  /// Entry ids sorted lexicographically by the coordinates of `key_modes`
+  /// (most significant first); entries that tie on every key mode keep
+  /// their storage order. A stable LSD counting sort with 16-bit digits:
+  /// one pass per digit of each key mode's extent (none for an extent of
+  /// 1), O(nnz) each, O(nnz + 65536) scratch whatever the extents are.
+  [[nodiscard]] std::vector<index_t> sorted_order(
+      std::span<const int> key_modes) const;
+
   /// Sorts entries lexicographically, merges duplicate coordinates (values
   /// sum) and drops exact zeros. Idempotent; stable with respect to the
   /// push order of duplicates, so merged sums are deterministic.

@@ -1,8 +1,8 @@
 #include "parpp/tensor/csf_tensor.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 namespace parpp::tensor {
 
@@ -10,70 +10,66 @@ namespace {
 
 void build_tiles(CsfTensor::Tree& tree, int n);
 
-bool is_identity(const std::vector<int>& mode_order) {
-  for (std::size_t l = 0; l < mode_order.size(); ++l)
-    if (mode_order[l] != static_cast<int>(l)) return false;
-  return true;
-}
-
 CsfTensor::Tree build_tree(const CooTensor& coo, std::vector<int> mode_order) {
-  const int n = coo.order();
-  const index_t nnz = coo.nnz();
+  const auto n = static_cast<std::size_t>(coo.order());
+  const auto nnz = static_cast<std::size_t>(coo.nnz());
 
   CsfTensor::Tree tree;
   tree.mode_order = std::move(mode_order);
+  const auto& order = tree.mode_order;
 
   // Entry order for this tree: lexicographic in the permuted coordinates.
-  // The COO is coalesced (sorted, duplicate-free), so an identity mode
-  // order is already sorted; other orders re-sort.
-  std::vector<index_t> perm(static_cast<std::size_t>(nnz));
-  std::iota(perm.begin(), perm.end(), index_t{0});
-  if (!is_identity(tree.mode_order)) {
-    std::sort(perm.begin(), perm.end(), [&](index_t a, index_t b) {
-      for (int l = 0; l < n; ++l) {
-        const int m = tree.mode_order[static_cast<std::size_t>(l)];
-        const index_t ia = coo.index(a, m), ib = coo.index(b, m);
-        if (ia != ib) return ia < ib;
-      }
-      return false;
-    });
-  }
+  // The coalesced COO is sorted in the identity order with distinct keys,
+  // so entries that tie on the levels above the order's ascending tail are
+  // already sorted by that tail: only those levels need counting-sort
+  // passes (none for the identity, one, keyed on the root, for every
+  // kAllModes tree). Distinct keys make the order unique, so the trees do
+  // not depend on the sort that produced it.
+  std::size_t sorted_from = n - 1;
+  while (sorted_from > 0 && order[sorted_from - 1] < order[sorted_from])
+    --sorted_from;
+  const std::vector<index_t> perm =
+      coo.sorted_order(std::span(order).first(sorted_from));
 
-  tree.fids.resize(static_cast<std::size_t>(n));
-  tree.fptr.resize(static_cast<std::size_t>(n - 1));
-  tree.vals.reserve(static_cast<std::size_t>(nnz));
-  for (index_t p = 0; p < nnz; ++p) {
-    const index_t e = perm[static_cast<std::size_t>(p)];
-    // First level whose coordinate differs from the previous entry: that
-    // node and everything below it open fresh.
-    int open_from = 0;
-    if (p > 0) {
-      const index_t prev = perm[static_cast<std::size_t>(p - 1)];
-      while (open_from < n - 1 &&
-             coo.index(e, tree.mode_order[static_cast<std::size_t>(open_from)]) ==
-                 coo.index(prev,
-                           tree.mode_order[static_cast<std::size_t>(open_from)]))
-        ++open_from;
-    }
-    for (int l = open_from; l < n; ++l) {
-      auto& fids = tree.fids[static_cast<std::size_t>(l)];
-      if (l < n - 1) {
-        // New node's children start where level l+1 currently ends.
-        tree.fptr[static_cast<std::size_t>(l)].push_back(
-            static_cast<index_t>(tree.fids[static_cast<std::size_t>(l + 1)].size()));
-      }
-      fids.push_back(coo.index(e, tree.mode_order[static_cast<std::size_t>(l)]));
+  // First level whose coordinate differs from the previous entry's: that
+  // node and everything below it open fresh.
+  const auto open_from = [&](std::size_t p) -> std::size_t {
+    if (p == 0) return 0;
+    const index_t e = perm[p], prev = perm[p - 1];
+    std::size_t l = 0;
+    while (l + 1 < n && coo.index(e, order[l]) == coo.index(prev, order[l]))
+      ++l;
+    return l;
+  };
+
+  // Count every level's nodes first so each array is allocated once at its
+  // final size: the resident trees carry no growth slack.
+  std::vector<std::size_t> nodes(n, 0);
+  for (std::size_t p = 0; p < nnz; ++p) ++nodes[open_from(p)];
+  std::partial_sum(nodes.begin(), nodes.end(), nodes.begin());
+  tree.fids.resize(n);
+  tree.fptr.resize(n - 1);
+  for (std::size_t l = 0; l < n; ++l) {
+    tree.fids[l].reserve(nodes[l]);
+    if (l + 1 < n) tree.fptr[l].reserve(nodes[l] + 1);
+  }
+  tree.vals.reserve(nnz);
+
+  for (std::size_t p = 0; p < nnz; ++p) {
+    const index_t e = perm[p];
+    for (std::size_t l = open_from(p); l < n; ++l) {
+      // New node's children start where level l+1 currently ends.
+      if (l + 1 < n)
+        tree.fptr[l].push_back(static_cast<index_t>(tree.fids[l + 1].size()));
+      tree.fids[l].push_back(coo.index(e, order[l]));
     }
     tree.vals.push_back(coo.value(e));
   }
-  for (int l = 0; l < n - 1; ++l) {
-    tree.fptr[static_cast<std::size_t>(l)].push_back(
-        static_cast<index_t>(tree.fids[static_cast<std::size_t>(l + 1)].size()));
-  }
-  for (int l = 1; l < n - 1; ++l)
-    tree.internal_nodes +=
-        static_cast<index_t>(tree.fids[static_cast<std::size_t>(l)].size());
-  build_tiles(tree, n);
+  for (std::size_t l = 0; l + 1 < n; ++l)
+    tree.fptr[l].push_back(static_cast<index_t>(tree.fids[l + 1].size()));
+  for (std::size_t l = 1; l + 1 < n; ++l)
+    tree.internal_nodes += static_cast<index_t>(nodes[l]);
+  build_tiles(tree, static_cast<int>(n));
   return tree;
 }
 

@@ -36,6 +36,16 @@ struct CsfOptions {
 /// for the repeated sweeps of ALS. `CsfLayout::kHalf` halves that pattern
 /// memory by serving two modes per tree (see walk_for).
 ///
+/// Construction is linear in nnz. The coalesced COO is already sorted in
+/// the identity mode order, so a tree needs stable counting-sort passes
+/// (CooTensor::sorted_order, 16-bit digits) only for the levels above its
+/// mode order's ascending tail: none for tree 0, one keyed on the root for
+/// every other kAllModes tree. Sort scratch is O(nnz + 65536) whatever the
+/// extents, and is freed before the fill. Every level is counted before it
+/// is filled, so each fids/fptr array is allocated once at its exact size.
+/// Coordinates are distinct, so the tree order is unique: the trees are
+/// byte-identical to those of any other correct sort.
+///
 /// Immutable once built: construct from a coalesced CooTensor.
 class CsfTensor {
  public:
