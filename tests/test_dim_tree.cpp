@@ -45,6 +45,12 @@ struct TreeCase {
   index_t rank;
 };
 
+// Names each case by its contents ("5x6x7_rank4") so test names do not
+// depend on where the shape vector happens to be allocated.
+void PrintTo(const TreeCase& c, std::ostream* os) {
+  *os << test::shape_name(c.shape) << "_rank" << c.rank;
+}
+
 class DtShapes : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(DtShapes, MatchesNaiveAcrossSweeps) {

@@ -16,6 +16,13 @@ struct MsdtCase {
   bool transposed_copy;
 };
 
+// Names each case by its contents ("6x7x8_rank4_transposed") so test names
+// do not depend on where the shape vector happens to be allocated.
+void PrintTo(const MsdtCase& c, std::ostream* os) {
+  *os << test::shape_name(c.shape) << "_rank" << c.rank
+      << (c.transposed_copy ? "_transposed" : "_plain");
+}
+
 class MsdtShapes : public ::testing::TestWithParam<MsdtCase> {};
 
 /// MSDT must agree with DT on every MTTKRP of every sweep when both run the

@@ -13,6 +13,12 @@ struct GridCase {
   std::vector<int> dims;
 };
 
+// Names each case by its grid ("grid2x2x4") so test names do not depend on
+// where the dims vector happens to be allocated.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "grid" << test::shape_name(c.dims);
+}
+
 class ParGrids : public ::testing::TestWithParam<GridCase> {};
 
 /// Algorithm 3 on any grid must reproduce the sequential trajectory exactly

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "parpp/core/cp_als.hpp"
@@ -69,6 +70,18 @@ inline double explicit_residual(const tensor::DenseTensor& t,
   tensor::DenseTensor approx = tensor::reconstruct(factors);
   approx.axpy(-1.0, t);
   return approx.frobenius_norm() / t.frobenius_norm();
+}
+
+/// "5x6x7" for {5, 6, 7}: a readable, allocation-independent label for
+/// parameterized test cases.
+template <typename T>
+std::string shape_name(const std::vector<T>& dims) {
+  std::string name;
+  for (const T d : dims) {
+    if (!name.empty()) name += 'x';
+    name += std::to_string(d);
+  }
+  return name;
 }
 
 }  // namespace parpp::test
