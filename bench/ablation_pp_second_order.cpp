@@ -32,7 +32,7 @@ double approx_error(const tensor::DenseTensor& t, index_t rank, double delta,
   warm.max_sweeps = 15;
   warm.tol = 0.0;
   warm.seed = seed;
-  auto a_p = core::cp_als(t, warm).factors;
+  auto a_p = core::cp_als(core::make_problem(t), warm).factors;
   auto factors = a_p;
   Rng rng(seed + 1);
   for (auto& f : factors) {
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     pp.pp_tol = 0.2;
     pp.second_order = second;
     WallTimer timer;
-    const auto r = core::pp_cp_als(gen.tensor, opt, pp);
+    const auto r = core::pp_cp_als(core::make_problem(gen.tensor), opt, pp);
     std::printf("  V(n) %-3s: fitness %.6f in %3d sweeps (%d PP-approx), "
                 "%.2fs\n",
                 second ? "on" : "off", r.fitness, r.sweeps, r.num_pp_approx,

@@ -20,7 +20,8 @@ namespace {
 
 double mean_sweep_seconds(const tensor::DenseTensor& t, int procs,
                           const par::ParOptions& opt) {
-  const par::ParResult r = par::par_cp_als(t, procs, opt);
+  const par::ParResult r =
+      par::par_cp_als(dist::DenseBlockProblem(t), procs, opt);
   return r.mean_sweep_seconds;
 }
 
@@ -61,18 +62,16 @@ int main(int argc, char** argv) {
     opt.base.record_history = true;
     opt.grid_dims = grid;
 
-    opt.local_engine = core::EngineKind::kDt;
+    opt.base.engine = core::EngineKind::kDt;
     const double dt = mean_sweep_seconds(t, procs, opt);
     const double planc =
         mean_sweep_seconds(t, procs, par::planc_options(opt));
-    opt.local_engine = core::EngineKind::kMsdt;
-    opt.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
+    opt.base.engine = core::EngineKind::kMsdt;
+    opt.base.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
     const double msdt = mean_sweep_seconds(t, procs, opt);
 
-    par::ParPpOptions ppopt;
-    ppopt.par = opt;
     const par::PpKernelTimings pp =
-        par::time_pp_kernels(t, procs, ppopt, sweeps);
+        par::time_pp_kernels(t, procs, opt, sweeps);
 
     std::printf("%-10s %8.4f %8.4f %8.4f %8.4f %9.4f %12.3e\n",
                 bench::grid_to_string(grid).c_str(), planc, dt, msdt,

@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
     tensor::DenseTensor t(shape);
     Rng rng(19);
     t.fill_uniform(rng);
+    const dist::DenseBlockProblem problem(t);
 
     par::ParOptions opt;
     opt.base.rank = rank;
@@ -46,18 +47,17 @@ int main(int argc, char** argv) {
     opt.base.tol = 0.0;
     opt.grid_dims = grid;
 
-    opt.local_engine = core::EngineKind::kDt;
-    const double dt = par::par_cp_als(t, procs, opt).mean_sweep_seconds;
+    opt.base.engine = core::EngineKind::kDt;
+    const double dt = par::par_cp_als(problem, procs, opt).mean_sweep_seconds;
     const double planc =
-        par::par_cp_als(t, procs, par::planc_options(opt)).mean_sweep_seconds;
-    opt.local_engine = core::EngineKind::kMsdt;
-    opt.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
-    const double msdt = par::par_cp_als(t, procs, opt).mean_sweep_seconds;
+        par::par_cp_als(problem, procs, par::planc_options(opt))
+            .mean_sweep_seconds;
+    opt.base.engine = core::EngineKind::kMsdt;
+    opt.base.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
+    const double msdt = par::par_cp_als(problem, procs, opt).mean_sweep_seconds;
 
-    par::ParPpOptions ppopt;
-    ppopt.par = opt;
     const par::PpKernelTimings pp =
-        par::time_pp_kernels(t, procs, ppopt, sweeps);
+        par::time_pp_kernels(t, procs, opt, sweeps);
 
     std::printf("%-12s %8.4f %8.4f %8.4f %8.4f %9.4f %12.3e\n",
                 bench::grid_to_string(grid).c_str(), planc, dt, msdt,

@@ -50,6 +50,7 @@ void run_case(const char* label, const std::vector<int>& grid, index_t slocal,
   tensor::DenseTensor t(shape);
   Rng rng(23);
   t.fill_uniform(rng);
+  const dist::DenseBlockProblem problem(t);
 
   std::printf("\n--- %s: grid %s (s_local=%lld, R=%lld) ---\n", label,
               bench::grid_to_string(grid).c_str(),
@@ -63,21 +64,19 @@ void run_case(const char* label, const std::vector<int>& grid, index_t slocal,
   opt.base.tol = 0.0;
   opt.grid_dims = grid;
 
-  const auto planc = par::planc_cp_als(t, procs, opt);
+  const auto planc = par::par_cp_als(problem, procs, par::planc_options(opt));
   print_profile_row("PLANC", mean_sweep_profile(planc.sweep_profiles));
 
-  opt.local_engine = core::EngineKind::kDt;
-  const auto dt = par::par_cp_als(t, procs, opt);
+  opt.base.engine = core::EngineKind::kDt;
+  const auto dt = par::par_cp_als(problem, procs, opt);
   print_profile_row("DT", mean_sweep_profile(dt.sweep_profiles));
 
-  opt.local_engine = core::EngineKind::kMsdt;
-  opt.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
-  const auto msdt = par::par_cp_als(t, procs, opt);
+  opt.base.engine = core::EngineKind::kMsdt;
+  opt.base.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
+  const auto msdt = par::par_cp_als(problem, procs, opt);
   print_profile_row("MSDT", mean_sweep_profile(msdt.sweep_profiles));
 
-  par::ParPpOptions ppopt;
-  ppopt.par = opt;
-  const auto pp = par::time_pp_kernels(t, procs, ppopt, sweeps);
+  const auto pp = par::time_pp_kernels(t, procs, opt, sweeps);
   print_profile_row("PP-init", pp.init_profile);
   Profile approx = mean_sweep_profile({pp.approx_profile});
   // approx_profile is summed over `sweeps`; normalize.

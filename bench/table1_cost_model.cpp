@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   tensor::DenseTensor t(shape);
   Rng rng(31);
   t.fill_uniform(rng);
+  const dist::DenseBlockProblem problem(t);
 
   const TableOneModel model{n, s * 2, rank, procs};
 
@@ -56,8 +57,8 @@ int main(int argc, char** argv) {
   opt.grid_dims = grid;
 
   // DT: contraction flops (TTM+mTTV) per sweep per rank vs 4 s^N R / P.
-  opt.local_engine = core::EngineKind::kDt;
-  const auto dt = par::par_cp_als(t, procs, opt);
+  opt.base.engine = core::EngineKind::kDt;
+  const auto dt = par::par_cp_als(problem, procs, opt);
   double dt_flops = 0.0, dt_words = 0.0;
   for (const auto& p : dt.sweep_profiles)
     dt_flops += p.flops(Kernel::kTTM) + p.flops(Kernel::kMTTV);
@@ -68,8 +69,8 @@ int main(int argc, char** argv) {
          model.local_tree_horizontal_words());
 
   // MSDT: 2N/(N-1) s^N R / P.
-  opt.local_engine = core::EngineKind::kMsdt;
-  const auto msdt = par::par_cp_als(t, procs, opt);
+  opt.base.engine = core::EngineKind::kMsdt;
+  const auto msdt = par::par_cp_als(problem, procs, opt);
   double msdt_flops = 0.0;
   for (const auto& p : msdt.sweep_profiles)
     msdt_flops += p.flops(Kernel::kTTM) + p.flops(Kernel::kMTTV);
@@ -82,9 +83,7 @@ int main(int argc, char** argv) {
          static_cast<double>(n) / (2.0 * (n - 1)));
 
   // PP approximated step: 2 N^2 (s_loc^2 R + R^2 ...) local.
-  par::ParPpOptions ppopt;
-  ppopt.par = opt;
-  const auto pp = par::time_pp_kernels(t, procs, ppopt, sweeps);
+  const auto pp = par::time_pp_kernels(t, procs, opt, sweeps);
   const double pp_flops =
       (pp.approx_profile.flops(Kernel::kTTM) +
        pp.approx_profile.flops(Kernel::kMTTV)) /

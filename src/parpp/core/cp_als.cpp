@@ -4,8 +4,7 @@
 
 #include "parpp/core/fitness.hpp"
 #include "parpp/core/gram.hpp"
-#include "parpp/core/solve_update.hpp"
-#include "parpp/core/sparse_engine.hpp"
+#include "parpp/core/nncp.hpp"
 #include "parpp/core/sweep_guard.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/util/timer.hpp"
@@ -41,25 +40,14 @@ std::vector<la::Matrix> resolve_init_factors(const std::vector<index_t>& shape,
   return init;
 }
 
-CpResult cp_als(const tensor::DenseTensor& t, const CpOptions& options) {
-  return cp_als(make_problem(t), options, DriverHooks{});
-}
-
-CpResult cp_als(const tensor::DenseTensor& t, const CpOptions& options,
-                const DriverHooks& hooks) {
-  return cp_als(make_problem(t), options, hooks);
-}
-
-CpResult cp_als(const tensor::CsfTensor& t, const CpOptions& options,
-                const DriverHooks& hooks) {
-  return cp_als(make_problem(t), options, hooks);
-}
-
 CpResult cp_als(const TensorProblem& problem, const CpOptions& options,
-                const DriverHooks& hooks) {
+                const NncpOptions* nn, const DriverHooks& hooks) {
   const int n = problem.order();
   PARPP_CHECK(n >= 2, "cp_als: tensor order must be >= 2");
   PARPP_CHECK(options.rank >= 1, "cp_als: rank must be positive");
+  PARPP_CHECK(nn == nullptr || nn->inner_iterations >= 1,
+              "cp_als: nncp needs at least one inner iteration");
+  const char* phase = regular_phase(nn);
 
   CpResult result;
   Profile profile;
@@ -87,8 +75,8 @@ CpResult cp_als(const TensorProblem& problem, const CpOptions& options,
     for (int i = 0; i < n; ++i) {
       la::Matrix gamma = gamma_chain(grams, i, &profile);
       la::Matrix m = engine->mttkrp(i);
-      factors[static_cast<std::size_t>(i)] =
-          update_factor(gamma, m, &profile);
+      update_factor_rule(factors[static_cast<std::size_t>(i)], gamma, m, nn,
+                         profile);
       engine->notify_update(i);
       grams[static_cast<std::size_t>(i)] =
           la::gram(factors[static_cast<std::size_t>(i)], &profile);
@@ -104,7 +92,7 @@ CpResult cp_als(const TensorProblem& problem, const CpOptions& options,
         factors[static_cast<std::size_t>(n - 1)]);
     fit = fitness_from_residual(result.residual);
     if (!guard.check_sweep(sweep, fit, fit_old, engine.get())) break;
-    const SweepRecord rec{timer.seconds(), fit, "als"};
+    const SweepRecord rec{timer.seconds(), fit, phase};
     if (options.record_history) result.history.push_back(rec);
     if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
         sweep % hooks.checkpoint_every == 0)

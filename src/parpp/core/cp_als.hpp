@@ -5,9 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "parpp/core/mttkrp_engine.hpp"
+#include "parpp/core/sparse_engine.hpp"
 #include "parpp/la/matrix.hpp"
-#include "parpp/tensor/dense_tensor.hpp"
 #include "parpp/util/profile.hpp"
 
 namespace parpp::core {
@@ -24,6 +23,23 @@ struct CpOptions {
   /// Record (time, fitness, phase) after every sweep.
   bool record_history = true;
 };
+
+/// Nonnegative CP via HALS (hierarchical ALS). Passing these to a driver
+/// swaps its normal-equations factor update for projected HALS column
+/// passes (see core/nncp.hpp); the sweep, its MTTKRP engine and the
+/// residual are unchanged, so every driver runs NNCP with its own loop.
+struct NncpOptions {
+  /// Floor applied after each HALS column update (keeps Γ nonsingular).
+  double epsilon = 1e-12;
+  /// Number of HALS inner passes over the columns per mode update.
+  int inner_iterations = 1;
+};
+
+/// History phase of an exact sweep under update rule `nn`: "nncp" for the
+/// HALS update, "als" for the normal-equations solve.
+[[nodiscard]] inline const char* regular_phase(const NncpOptions* nn) {
+  return nn != nullptr ? "nncp" : "als";
+}
 
 struct SweepRecord {
   double seconds;       ///< elapsed wall time since the run started
@@ -116,22 +132,17 @@ struct DriverHooks {
     const std::vector<index_t>& shape, index_t rank, std::uint64_t seed,
     const DriverHooks& hooks);
 
-/// Runs CP-ALS with the selected MTTKRP engine until the fitness change
-/// falls below `tol` or `max_sweeps` is reached. The storage-agnostic
-/// TensorProblem overload is the driver core; the DenseTensor and CsfTensor
-/// overloads are adapters over core::make_problem, so dense and sparse
-/// storage run the identical sweep (including the Eq. (3) residual, which
-/// reuses the last MTTKRP and never reconstructs the tensor).
+/// Runs CP-ALS (Algorithm 1) with the selected MTTKRP engine until the
+/// fitness change falls below `tol` or `max_sweeps` is reached. `problem`
+/// hides the storage (core::make_problem over a DenseTensor or CsfTensor),
+/// so dense and sparse storage run the identical sweep, including the
+/// Eq. (3) residual, which reuses the last MTTKRP and never reconstructs
+/// the tensor. With `nn` set, each factor update is the projected HALS
+/// rule instead of the normal-equations solve (nonnegative CP; history
+/// phase "nncp"); the factors then stay entrywise >= 0.
 [[nodiscard]] CpResult cp_als(const TensorProblem& problem,
                               const CpOptions& options,
-                              const DriverHooks& hooks = {});
-[[nodiscard]] CpResult cp_als(const tensor::DenseTensor& t,
-                              const CpOptions& options);
-[[nodiscard]] CpResult cp_als(const tensor::DenseTensor& t,
-                              const CpOptions& options,
-                              const DriverHooks& hooks);
-[[nodiscard]] CpResult cp_als(const tensor::CsfTensor& t,
-                              const CpOptions& options,
+                              const NncpOptions* nn = nullptr,
                               const DriverHooks& hooks = {});
 
 }  // namespace parpp::core

@@ -3,9 +3,10 @@
 // The paper's time-lapse hyperspectral dataset (Fig. 5f) is "usually used
 // on the benchmark of nonnegative tensor decomposition" (citing Liavas et
 // al. and Ballard et al.), and the PLANC comparator is a nonnegative CP
-// code. This module completes that context: a nonnegative CP-ALS whose
-// bottleneck is the *same* MTTKRP the tree engines accelerate, so DT/MSDT
-// plug in unchanged.
+// code. Nonnegativity only changes the factor update: the bottleneck is
+// the *same* MTTKRP the tree engines accelerate, so every driver (ALS, PP,
+// sequential and parallel) runs NNCP by taking a core::NncpOptions and
+// calling the update rule below in place of the normal-equations solve.
 //
 // HALS updates one rank-one component at a time:
 //   A(n)(:,r) <- max(0, A(n)(:,r) + (M(n)(:,r) - A(n) Γ(n)(:,r)) / Γ(n)(r,r))
@@ -17,43 +18,25 @@
 
 namespace parpp::core {
 
-struct NncpOptions {
-  /// Engine used for the MTTKRPs (DT or MSDT; both exact).
-  EngineKind engine = EngineKind::kMsdt;
-  /// Floor applied after each HALS column update (keeps Γ nonsingular).
-  double epsilon = 1e-12;
-  /// Number of HALS inner passes over the columns per mode update.
-  int inner_iterations = 1;
-};
+/// One projected HALS pass over the columns of A given M = MTTKRP(A's mode)
+/// and Γ:  A(:,r) <- max(0, A(:,r) + (M(:,r) - A Γ(:,r)) / Γ(r,r)).
+/// Columns update sequentially (Gauss-Seidel), rows independently, so the
+/// pass applies unchanged to a rank's block of rows (the parallel drivers
+/// call it on their Q rows and rescue zero columns globally, see
+/// par::rescue_zero_columns).
+void hals_pass(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
+               double eps_floor, Profile& profile);
 
-/// One HALS pass over the columns of A given M = MTTKRP(A's mode) and Γ:
-///   A(:,r) <- max(0, A(:,r) + (M(:,r) - A Γ(:,r)) / Γ(r,r))
-/// followed by an eps_floor rescue of exactly-zero columns (keeps Γ
-/// nonsingular). Columns update sequentially (Gauss-Seidel), rows
-/// independently — shared by the plain and PP-accelerated HALS drivers.
+/// hals_pass followed by an eps_floor rescue of exactly-zero columns
+/// (keeps Γ nonsingular) — the whole-factor update of the sequential
+/// drivers.
 void hals_update(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
                  double eps_floor, Profile& profile);
 
-/// Runs nonnegative CP-ALS (HALS) until the fitness change drops below
-/// options.tol or max_sweeps is reached. Factors are initialized uniform
-/// in [0,1) (already nonnegative) and stay entrywise >= 0. Like cp_als, the
-/// TensorProblem overload is the storage-agnostic core (HALS consumes only
-/// the MTTKRP and the grams, so sparse storage plugs in unchanged); the
-/// DenseTensor/CsfTensor overloads adapt via core::make_problem.
-[[nodiscard]] CpResult nncp_hals(const TensorProblem& problem,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options = {},
-                                 const DriverHooks& hooks = {});
-[[nodiscard]] CpResult nncp_hals(const tensor::DenseTensor& t,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options = {});
-[[nodiscard]] CpResult nncp_hals(const tensor::DenseTensor& t,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options,
-                                 const DriverHooks& hooks);
-[[nodiscard]] CpResult nncp_hals(const tensor::CsfTensor& t,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options = {},
-                                 const DriverHooks& hooks = {});
+/// The sequential drivers' factor update: the normal-equations solve
+/// A <- M Γ† when `nn` is null, nn->inner_iterations HALS passes otherwise.
+void update_factor_rule(la::Matrix& a, const la::Matrix& gamma,
+                        const la::Matrix& m, const NncpOptions* nn,
+                        Profile& profile);
 
 }  // namespace parpp::core

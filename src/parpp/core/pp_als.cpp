@@ -5,10 +5,10 @@
 #include "parpp/core/dim_tree.hpp"
 #include "parpp/core/fitness.hpp"
 #include "parpp/core/gram.hpp"
+#include "parpp/core/nncp.hpp"
 #include "parpp/core/pp_engine.hpp"
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/core/solve_update.hpp"
-#include "parpp/core/sparse_engine.hpp"
 #include "parpp/core/sweep_guard.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/util/timer.hpp"
@@ -28,44 +28,22 @@ bool all_changes_small(const std::vector<la::Matrix>& factors,
 
 }  // namespace
 
-CpResult pp_cp_als(const tensor::DenseTensor& t, const CpOptions& options,
-                   const PpOptions& pp_options) {
-  return pp_cp_als(t, options, pp_options, DriverHooks{});
+EngineKind pp_regular_engine(EngineKind requested) {
+  return requested == EngineKind::kNaive ? EngineKind::kMsdt : requested;
 }
 
-namespace {
-
-detail::FactorUpdate als_update() {
-  return [](la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
-            Profile& profile) { a = update_factor(gamma, m, &profile); };
-}
-
-}  // namespace
-
-CpResult pp_cp_als(const tensor::DenseTensor& t, const CpOptions& options,
-                   const PpOptions& pp_options, const DriverHooks& hooks) {
-  return detail::run_pp_driver(make_problem(t), options, pp_options, hooks,
-                               als_update(), "als");
-}
-
-CpResult pp_cp_als(const tensor::CsfTensor& t, const CpOptions& options,
-                   const PpOptions& pp_options, const DriverHooks& hooks) {
-  return detail::run_pp_driver(make_problem(t), options, pp_options, hooks,
-                               als_update(), "als");
-}
-
-namespace detail {
-
-CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
-                       const PpOptions& pp_options, const DriverHooks& hooks,
-                       const FactorUpdate& update,
-                       const char* regular_phase) {
+CpResult pp_cp_als(const TensorProblem& problem, const CpOptions& options,
+                   const PpOptions& pp_options, const NncpOptions* nn,
+                   const DriverHooks& hooks) {
   const int n = problem.order();
-  PARPP_CHECK(n >= 3, "pp driver: order must be >= 3");
+  PARPP_CHECK(n >= 3, "pp_cp_als: order must be >= 3");
   PARPP_CHECK(pp_options.pp_tol > 0.0 && pp_options.pp_tol < 1.0,
-              "pp driver: pp_tol must be in (0,1)");
+              "pp_cp_als: pp_tol must be in (0,1)");
   PARPP_CHECK(problem.make_pp_operators != nullptr,
-              "pp driver: storage provides no PP operator factory");
+              "pp_cp_als: storage provides no PP operator factory");
+  PARPP_CHECK(nn == nullptr || nn->inner_iterations >= 1,
+              "pp_cp_als: nncp needs at least one inner iteration");
+  const char* exact_phase = regular_phase(nn);
 
   CpResult result;
   Profile profile;
@@ -74,9 +52,9 @@ CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
   auto& factors = result.factors;
   std::vector<la::Matrix> grams = all_grams(factors, &profile);
 
-  EngineOptions eopt = options.engine_options;
-  auto engine = problem.make_engine(pp_options.regular_engine, factors,
-                                    &profile, eopt);
+  const EngineOptions& eopt = options.engine_options;
+  auto engine = problem.make_engine(pp_regular_engine(options.engine),
+                                    factors, &profile, eopt);
   auto* tree_engine = dynamic_cast<TreeEngineBase*>(engine.get());
   auto ops_ptr = problem.make_pp_operators(factors, &profile, eopt);
   PpOperators& ops = *ops_ptr;
@@ -84,7 +62,8 @@ CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
   // One mode update: apply the method's factor update, then refresh the
   // engine and Gram state (identical for exact and approximated MTTKRPs).
   auto update_mode = [&](int i, const la::Matrix& gamma, const la::Matrix& m) {
-    update(factors[static_cast<std::size_t>(i)], gamma, m, profile);
+    update_factor_rule(factors[static_cast<std::size_t>(i)], gamma, m, nn,
+                       profile);
     engine->notify_update(i);
     grams[static_cast<std::size_t>(i)] =
         la::gram(factors[static_cast<std::size_t>(i)], &profile);
@@ -222,7 +201,7 @@ CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
         factors[static_cast<std::size_t>(n - 1)]);
     fit = fitness_from_residual(result.residual);
     if (!guard.check_sweep(total_sweeps, fit, fit_old, engine.get())) break;
-    const SweepRecord rec{timer.seconds(), fit, regular_phase};
+    const SweepRecord rec{timer.seconds(), fit, exact_phase};
     if (options.record_history) result.history.push_back(rec);
     // Checkpoints land after regular (exact) sweeps only, so the saved
     // factors are never mid-approximation.
@@ -251,7 +230,5 @@ CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
   result.profile = profile;
   return result;
 }
-
-}  // namespace detail
 
 }  // namespace parpp::core

@@ -9,8 +9,6 @@ struct PpOptions {
   /// PP tolerance epsilon: the approximated step runs while every factor's
   /// relative change since the snapshot stays below it.
   double pp_tol = 0.1;
-  /// Engine used for the regular ALS sweeps (the paper pairs PP with MSDT).
-  EngineKind regular_engine = EngineKind::kMsdt;
   /// Record (approximate) fitness after each PP-approximated sweep too.
   bool record_pp_sweeps = true;
   /// Disable the second-order V(n) correction (ablation).
@@ -20,45 +18,25 @@ struct PpOptions {
   int max_pp_sweeps_per_phase = 500;
 };
 
+/// The engine the PP drivers run their regular sweeps on: the PP operator
+/// build amortizes against a tree engine's cache (footnote 1), so kNaive is
+/// promoted to kMsdt; every other kind is kept. Shared by the sequential
+/// and parallel PP drivers so one spec resolves to one engine on both.
+[[nodiscard]] EngineKind pp_regular_engine(EngineKind requested);
+
 /// Runs PP-CP-ALS: regular sweeps until the factors move slowly, then PP
 /// initialization + approximated sweeps, falling back to regular sweeps
-/// whenever the perturbation grows past pp_tol (Algorithm 2). Like cp_als,
-/// the TensorProblem overload is the storage-agnostic core; the
-/// DenseTensor and CsfTensor overloads adapt via core::make_problem (the
-/// sparse path builds its operators with CSF pair walks and never
-/// densifies).
-[[nodiscard]] CpResult pp_cp_als(const tensor::DenseTensor& t,
-                                 const CpOptions& options,
-                                 const PpOptions& pp_options = {});
-[[nodiscard]] CpResult pp_cp_als(const tensor::DenseTensor& t,
-                                 const CpOptions& options,
-                                 const PpOptions& pp_options,
-                                 const DriverHooks& hooks);
-[[nodiscard]] CpResult pp_cp_als(const tensor::CsfTensor& t,
+/// whenever the perturbation grows past pp_tol (Algorithm 2). Storage-blind
+/// like cp_als: the sparse problem builds its operators with CSF pair walks
+/// and never densifies. With `nn` set the factor update is the projected
+/// HALS rule (PP-NNCP): PP only approximates the MTTKRP the update
+/// consumes, and the projection max(0, .) keeps the factors feasible
+/// whatever the approximation error. Regular sweeps are then labelled
+/// "nncp" in the history instead of "als".
+[[nodiscard]] CpResult pp_cp_als(const TensorProblem& problem,
                                  const CpOptions& options,
                                  const PpOptions& pp_options = {},
+                                 const NncpOptions* nn = nullptr,
                                  const DriverHooks& hooks = {});
-
-namespace detail {
-
-/// One factor update inside the shared Algorithm-2 loop: overwrite `a`
-/// given Γ and the (exact or PP-approximated) MTTKRP `m`.
-using FactorUpdate = std::function<void(
-    la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
-    Profile& profile)>;
-
-/// The Algorithm-2 driver core shared by pp_cp_als and pp_nncp_hals: the
-/// PP-phase trigger, divergence guard, stopping comparison and final exact
-/// residual are identical for both; only the factor update differs.
-/// `regular_phase` labels the exact sweeps in the history ("als"/"nncp").
-/// `problem` must provide make_pp_operators.
-[[nodiscard]] CpResult run_pp_driver(const TensorProblem& problem,
-                                     const CpOptions& options,
-                                     const PpOptions& pp_options,
-                                     const DriverHooks& hooks,
-                                     const FactorUpdate& update,
-                                     const char* regular_phase);
-
-}  // namespace detail
 
 }  // namespace parpp::core

@@ -312,8 +312,15 @@ RebuiltState rebuild_from_store(mpsim::Comm& nc, BuddyStore& store,
                                : obstruction);
 }
 
-}  // namespace
-
+/// Runs `body` with elastic shrink recovery. On CommFailure with
+/// options.elastic.mode == kShrink (and this rank not itself declared dead,
+/// and the shrink budget not exhausted) the runner shrinks, rebuilds state,
+/// and re-invokes the body; otherwise the failure propagates to the
+/// driver's abort-recording catch. Local (non-CommFailure) exceptions mark
+/// this rank dead on the shrink board and poison the *current* epoch's tree
+/// before propagating, so survivors can shrink past this rank. `removed`
+/// (world-size char flags) receives the ranks folded into successful
+/// shrinks, for merge_abort_records.
 void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
                       const ParOptions& options,
                       const core::DriverHooks& hooks, BuddyStore& store,
@@ -422,6 +429,75 @@ void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
       result.final_ranks = nc.size();
     }
   }
+}
+
+}  // namespace
+
+ParResult run_par_driver(const dist::DistProblem& problem, int nprocs,
+                         const ParOptions& options,
+                         const core::DriverHooks& hooks,
+                         const RankBody& body) {
+  ParResult result;
+  std::vector<RankTrace> traces(static_cast<std::size_t>(nprocs));
+  std::vector<std::string> abort_reasons(static_cast<std::size_t>(nprocs));
+  BuddyStore store(nprocs);
+  std::vector<char> removed(static_cast<std::size_t>(nprocs), 0);
+
+  mpsim::RunOptions ropt;
+  ropt.threads_per_rank = options.threads_per_rank;
+  ropt.fault = options.fault;
+  ropt.comm_timeout_seconds = options.comm_timeout_seconds;
+  auto run_result = mpsim::run(
+      nprocs,
+      [&](mpsim::Comm& world) {
+        const auto me = static_cast<std::size_t>(world.rank());
+        try {
+          run_with_elastic(
+              world, problem, options, hooks, store, result, removed,
+              [&](ElasticAttempt& at) { body(at, traces[me]); });
+        } catch (const mpsim::CommFailure& e) {
+          abort_reasons[me] = e.what();
+        } catch (const std::exception& e) {
+          // Local failure: poison the communicator tree so peers unwind
+          // (they record the poison reason as their own CommFailure). The
+          // elastic runner already poisoned the current epoch's tree.
+          abort_reasons[me] = std::string("local exception: ") + e.what();
+          world.poison("rank " + std::to_string(world.rank()) +
+                       " failed: " + e.what());
+        }
+      },
+      ropt);
+  std::vector<int> abort_sweeps;
+  for (const RankTrace& t : traces) abort_sweeps.push_back(t.sweep);
+  merge_abort_records(result, abort_reasons, abort_sweeps, removed);
+
+  // Per-sweep profile of the slowest rank, and the per-category maximum
+  // across ranks. Ranks can hold different counts (post-shrink epochs leave
+  // survivors with more entries than the ranks that died early).
+  for (std::size_t s = 0;; ++s) {
+    Profile worst;
+    Profile cat_max;
+    double worst_total = -1.0;
+    bool any = false;
+    for (const RankTrace& t : traces) {
+      if (s >= t.profiles.size()) continue;
+      any = true;
+      cat_max.max_merge(t.profiles[s]);
+      if (t.profiles[s].total_seconds() > worst_total) {
+        worst_total = t.profiles[s].total_seconds();
+        worst = t.profiles[s];
+      }
+    }
+    if (!any) break;
+    result.sweep_profiles.push_back(worst);
+    result.critical_path_profile.accumulate(cat_max);
+  }
+  if (!result.history.empty() && result.sweeps > 0) {
+    result.mean_sweep_seconds =
+        result.history.back().seconds / static_cast<double>(result.sweeps);
+  }
+  result.comm_cost = run_result.max_cost();
+  return result;
 }
 
 }  // namespace parpp::par

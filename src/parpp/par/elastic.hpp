@@ -30,8 +30,9 @@
 // epoch's roster — including ranks that died in that round, whose slots the
 // ring buddies still hold — is used instead.
 //
-// run_with_elastic — the epoch loop. Runs a driver body; on CommFailure with
-// shrink enabled it shrinks the communicator, rebuilds the global factors
+// run_par_driver — the rank scaffold around the epoch loop. Runs a driver
+// body; on CommFailure with shrink enabled it shrinks the communicator,
+// rebuilds the global factors
 // from the store (one All-Reduce per mode on the new communicator),
 // recomputes a balanced grid for the survivor count, logs a deterministic
 // recovery event, and re-invokes the body warm-started at the agreed sweep.
@@ -130,25 +131,33 @@ struct ElasticAttempt {
   void publish(ParCpContext& ctx, int sweep, double cur_fit,
                double cur_fit_old) const;
 
-  // Wired by run_with_elastic.
+  // Wired by run_par_driver.
   BuddyStore* store = nullptr;
   ParResult* result = nullptr;
   index_t expected_nnz = -1;  ///< manifest total for begin_epoch (-1 = none)
 };
 
-/// Runs `body` with elastic shrink recovery. On CommFailure with
-/// options.elastic.mode == kShrink (and this rank not itself declared dead,
-/// and the shrink budget not exhausted) the runner shrinks, rebuilds state,
-/// and re-invokes the body; otherwise the failure propagates to the
-/// driver's abort-recording catch. Local (non-CommFailure) exceptions mark
-/// this rank dead on the shrink board and poison the *current* epoch's tree
-/// before propagating, so survivors can shrink past this rank. `removed`
-/// (world-size char flags) receives the ranks folded into successful
-/// shrinks, for merge_abort_records.
-void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
-                      const ParOptions& options,
-                      const core::DriverHooks& hooks, BuddyStore& store,
-                      ParResult& result, std::vector<char>& removed,
-                      const std::function<void(ElasticAttempt&)>& body);
+/// What a rank body reports back to run_par_driver besides the result.
+struct RankTrace {
+  int sweep = 0;                  ///< sweeps completed (abort records)
+  std::vector<Profile> profiles;  ///< this rank's per-sweep kernel profiles
+};
+
+/// One epoch of a parallel driver's sweep loop on one rank. Rank-0 result
+/// fields go to *at.result; the body may be re-invoked after a shrink.
+using RankBody = std::function<void(ElasticAttempt& at, RankTrace& trace)>;
+
+/// The rank scaffold shared by par_cp_als and par_pp_cp_als: launches
+/// `nprocs` simulated ranks, runs `body` under elastic shrink recovery (on
+/// CommFailure with options.elastic.mode == kShrink the survivors shrink,
+/// rebuild state from the buddy store and re-invoke the body warm-started
+/// at the agreed sweep; otherwise the failure ends the rank), turns rank
+/// failures into deterministic abort records, and folds the per-rank
+/// traces into sweep_profiles / critical_path_profile, mean_sweep_seconds
+/// and comm_cost.
+[[nodiscard]] ParResult run_par_driver(const dist::DistProblem& problem,
+                                       int nprocs, const ParOptions& options,
+                                       const core::DriverHooks& hooks,
+                                       const RankBody& body);
 
 }  // namespace parpp::par

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "parpp/core/cp_als.hpp"
@@ -11,7 +12,6 @@
 #include "parpp/la/spd_solve.hpp"
 #include "parpp/mpsim/fault.hpp"
 #include "parpp/mpsim/runtime.hpp"
-#include "parpp/tensor/dense_tensor.hpp"
 
 namespace parpp::par {
 
@@ -34,16 +34,12 @@ struct ElasticOptions {
 };
 
 struct ParOptions {
+  /// Rank, stopping rule, seed and the local MTTKRP engine of every rank
+  /// (base.engine / base.engine_options).
   core::CpOptions base;
   std::vector<int> grid_dims;  ///< product must equal the rank count
-  core::EngineKind local_engine = core::EngineKind::kDt;
-  core::EngineOptions engine_options = {};
   SolveMode solve = SolveMode::kDistributedRows;
   int threads_per_rank = 1;
-  /// How sparse inputs are carved over the grid (the CsfTensor driver
-  /// overloads pick the matching DistProblem; ignored when the caller
-  /// passes a DistProblem directly).
-  dist::PartitionKind partition = dist::PartitionKind::kUniformBlocks;
   /// Injected communication fault for chaos runs (kNone = clean run).
   mpsim::FaultPlan fault = {};
   /// Collective timeout; <= 0 picks the runtime default (60 s, or 2 s when
@@ -89,13 +85,6 @@ struct ParResult {
   double post_shrink_nnz_imbalance = 0.0;
 };
 
-/// Row-local HALS pass over the Q-distributed rows (see core::hals_update):
-/// columns sequentially (Gauss-Seidel), rows independent. The zero-column
-/// rescue is global — see rescue_zero_columns. Shared by the nonnegative
-/// parallel drivers.
-void hals_update_rows(la::Matrix& a, const la::Matrix& m,
-                      const la::Matrix& gamma, double eps_floor);
-
 /// Global zero-column rescue matching core::hals_update: `s` is the
 /// already All-Reduced Gram of factor `mode`, whose diagonal is the global
 /// squared column norm — an exactly-zero entry means the column died on
@@ -127,24 +116,18 @@ bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
 /// nonnegative parallel drivers. Constructed inside a rank body.
 class ParCpContext {
  public:
-  /// Storage-agnostic form: `problem` must outlive the context.
-  /// `initial_factors`, when non-null, replaces the seeded deterministic
-  /// initialization with a (validated) global warm start; every rank keeps
-  /// its own block of the same matrices.
+  /// `problem` must outlive the context. `initial_factors`, when non-null,
+  /// replaces the seeded deterministic initialization with a (validated)
+  /// global warm start; every rank keeps its own block of the same
+  /// matrices.
   ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
                const ParOptions& options,
                const std::vector<la::Matrix>* initial_factors = nullptr);
 
-  /// Dense convenience (the historical signature): wraps `global_t` in an
-  /// owned DenseBlockProblem — behavior is bit for bit the old dense path.
-  ParCpContext(mpsim::Comm& comm, const tensor::DenseTensor& global_t,
-               const ParOptions& options,
-               const std::vector<la::Matrix>* initial_factors = nullptr);
-
   /// Replaces the normal-equations solve in every subsequent factor update
-  /// (regular and PP-approximated) with `inner_iterations` row-local HALS
-  /// passes — the nonnegative CP update of PLANC.
-  void enable_hals(double epsilon, int inner_iterations);
+  /// (regular and PP-approximated) with nn.inner_iterations row-local HALS
+  /// passes (core::hals_pass) — the nonnegative CP update of PLANC.
+  void enable_hals(const core::NncpOptions& nn);
 
   [[nodiscard]] int order() const { return n_; }
   [[nodiscard]] const mpsim::ProcessorGrid& grid() const { return grid_; }
@@ -159,7 +142,7 @@ class ParCpContext {
   /// Engine options of the run (storage scalar, CSF walk, ...) — what the
   /// PP layers pass to make_pp_operators so operators and engine agree.
   [[nodiscard]] const core::EngineOptions& engine_options() const {
-    return options_.engine_options;
+    return options_.base.engine_options;
   }
   [[nodiscard]] double tensor_sq_norm() const { return t_sq_; }
   /// Per-rank nnz imbalance (max / mean) of the block distribution; 0.0
@@ -178,7 +161,9 @@ class ParCpContext {
   [[nodiscard]] double residual();
 
   /// Exact residual at the *current* factors: one fresh local MTTKRP of the
-  /// last mode plus the Eq. (3) reductions, with no factor update.
+  /// last mode plus the Eq. (3) reductions, with no factor update. Only for
+  /// when the stored operands may be stale (the PP driver's exit, possibly
+  /// mid-phase); after a regular sweep residual() is exact and cheaper.
   /// Collective; piggybacks health like residual().
   [[nodiscard]] double measure_residual();
 
@@ -209,24 +194,15 @@ class ParCpContext {
   /// the PP driver (Algorithm 4 lines 9-15).
   void apply_pp_mttkrp(int mode, const la::Matrix& m_q);
 
-  /// Global squared Frobenius norm of a Q-distributed matrix set, per mode:
-  /// returns {||X||_F^2 for each mode} with one All-Reduce.
-  [[nodiscard]] std::vector<double> global_sq_norms(
-      const std::vector<la::Matrix>& q_mats) const;
-
-  /// Assemble the full factor for `mode` (collective).
-  [[nodiscard]] la::Matrix assemble_factor(int mode) {
-    return fd_.allgather_global(mode);
+  /// Assemble every full global factor (collective).
+  [[nodiscard]] std::vector<la::Matrix> assemble_factors() {
+    std::vector<la::Matrix> factors;
+    factors.reserve(static_cast<std::size_t>(n_));
+    for (int m = 0; m < n_; ++m) factors.push_back(fd_.allgather_global(m));
+    return factors;
   }
 
  private:
-  /// Delegation target of the two public constructors: exactly one of
-  /// `owned` and `problem` is set.
-  ParCpContext(mpsim::Comm& comm, const ParOptions& options,
-               std::unique_ptr<dist::DistProblem> owned,
-               const dist::DistProblem* problem,
-               const std::vector<la::Matrix>* initial_factors);
-
   void solve_and_propagate(int mode, const la::Matrix& m_q,
                            const la::Matrix& gamma);
   /// Piggybacked reduction: buf[0] is the caller's scalar, buf[1..4] the
@@ -235,11 +211,8 @@ class ParCpContext {
 
   mpsim::Comm& comm_;
   ParOptions options_;
-  bool hals_ = false;
-  double hals_epsilon_ = 1e-12;
-  int hals_inner_ = 1;
-  std::unique_ptr<dist::DistProblem> owned_problem_;
-  const dist::DistProblem* problem_;  ///< owned_problem_ or the caller's
+  std::optional<core::NncpOptions> hals_;  ///< set by enable_hals
+  const dist::DistProblem* problem_;
   int n_;
   mpsim::ProcessorGrid grid_;
   dist::BlockDist dist_;
@@ -262,14 +235,10 @@ class ParCpContext {
 /// Folds the per-rank abort slots the rank bodies record on CommFailure (or
 /// a poisoned local exception) into `result`: identical reasons are grouped
 /// into one deterministic recovery_log event listing the ranks, and the
-/// status becomes kCommAbort. No-op when no slot is set.
-void merge_abort_records(ParResult& result,
-                         const std::vector<std::string>& reasons,
-                         const std::vector<int>& sweeps);
-
-/// Elastic-aware overload: slots of ranks in `removed` (world-rank indexed)
-/// were folded into a successful shrink's recovery_log entry already — their
-/// abort reasons are expected and must not flip the status to kCommAbort.
+/// status becomes kCommAbort. No-op when no slot is set. Slots of ranks in
+/// `removed` (world-rank indexed) were folded into a successful shrink's
+/// recovery_log entry already — their abort reasons are expected and must
+/// not flip the status to kCommAbort.
 void merge_abort_records(ParResult& result,
                          const std::vector<std::string>& reasons,
                          const std::vector<int>& sweeps,
@@ -284,20 +253,29 @@ void record_health_events(ParResult& result, int sweep,
 /// Sweep-rollback budget shared by the resilient drivers.
 inline constexpr int kParRollbackBudget = 3;
 
-/// Runs Algorithm 3 end to end on `nprocs` simulated ranks. The
-/// DistProblem overload is the storage-agnostic driver core; the
-/// DenseTensor overloads are unchanged shims over DenseBlockProblem and
-/// the CsfTensor overload partitions the nonzeros with SparseBlockDist.
+/// Bookkeeping of a replicated non-finite verdict, after the caller restored
+/// the pre-sweep iterate: while the rollback budget lasts, counts the
+/// rollback and returns true (retry the sweep); then returns false (abort on
+/// the last good state, status kNumericalAbort). Rank 0 logs either way.
+[[nodiscard]] bool retry_after_rollback(ParResult& result,
+                                        const mpsim::Comm& comm, int sweep,
+                                        int& rollbacks);
+
+/// Collective checkpoint: assembles the global factors on every rank and
+/// hands them to hooks.on_checkpoint on rank 0.
+void write_checkpoint(const mpsim::Comm& comm, ParCpContext& ctx,
+                      const core::DriverHooks& hooks, int sweep, double fit,
+                      double fit_old);
+
+/// Runs Algorithm 3 end to end on `nprocs` simulated ranks. `problem`
+/// hides the storage: dist::DenseBlockProblem carves dense slabs,
+/// dist::make_sparse_problem partitions CSF nonzeros (uniform or
+/// nnz-balanced). With `nn` set the factor update is the row-local HALS
+/// rule (parallel NNCP, history phase "nncp"): the same collectives per
+/// sweep as ALS, since HALS needs nothing beyond Γ and the local M rows.
 [[nodiscard]] ParResult par_cp_als(const dist::DistProblem& problem,
                                    int nprocs, const ParOptions& options,
-                                   const core::DriverHooks& hooks = {});
-[[nodiscard]] ParResult par_cp_als(const tensor::DenseTensor& global_t,
-                                   int nprocs, const ParOptions& options);
-[[nodiscard]] ParResult par_cp_als(const tensor::DenseTensor& global_t,
-                                   int nprocs, const ParOptions& options,
-                                   const core::DriverHooks& hooks);
-[[nodiscard]] ParResult par_cp_als(const tensor::CsfTensor& global_t,
-                                   int nprocs, const ParOptions& options,
+                                   const core::NncpOptions* nn = nullptr,
                                    const core::DriverHooks& hooks = {});
 
 }  // namespace parpp::par

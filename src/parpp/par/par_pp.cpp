@@ -9,7 +9,6 @@
 #include "parpp/core/gram.hpp"
 #include "parpp/core/pp_engine.hpp"
 #include "parpp/core/pp_operators.hpp"
-#include "parpp/dist/sparse_dist.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/par/elastic.hpp"
 #include "parpp/tensor/mttv.hpp"
@@ -151,44 +150,23 @@ bool all_below(const std::vector<double>& rel, double eps) {
   return true;
 }
 
-/// Shared Algorithm 2/4 loop: the factor update is the SPD solve when
-/// `nn` is null, the row-local HALS passes otherwise (parallel PP-NNCP).
-/// Storage-agnostic: `problem` supplies each rank's engine and PP operator
-/// factories (dense slabs or sparse CSF blocks).
-ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
-                     const ParOptions& par_in, const core::PpOptions& pp_opt,
-                     const core::NncpOptions* nn,
-                     const core::DriverHooks& hooks) {
-  ParResult result;
-  std::vector<std::vector<Profile>> sweep_profiles(
-      static_cast<std::size_t>(nprocs));
-  std::vector<std::string> abort_reasons(static_cast<std::size_t>(nprocs));
-  std::vector<int> abort_sweeps(static_cast<std::size_t>(nprocs), 0);
-  BuddyStore store(nprocs);
-  std::vector<char> removed(static_cast<std::size_t>(nprocs), 0);
+}  // namespace
 
-  ParOptions par = par_in;
-  if (par.local_engine == core::EngineKind::kNaive)
-    par.local_engine = core::EngineKind::kMsdt;
-  const char* regular_phase = nn ? "nncp" : "als";
-
-  mpsim::RunOptions ropt;
-  ropt.threads_per_rank = par.threads_per_rank;
-  ropt.fault = par.fault;
-  ropt.comm_timeout_seconds = par.comm_timeout_seconds;
-  auto run_result = mpsim::run(
-      nprocs,
-      [&](mpsim::Comm& world) {
-        const auto me = static_cast<std::size_t>(world.rank());
-        int cur_sweep = 0;
-        try {
-          run_with_elastic(
-              world, problem, par, hooks, store, result, removed,
-              [&](ElasticAttempt& at) {
+ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
+                        const ParOptions& options,
+                        const core::PpOptions& pp_opt,
+                        const core::NncpOptions* nn,
+                        const core::DriverHooks& hooks) {
+  ParOptions par = options;
+  par.base.engine = core::pp_regular_engine(options.base.engine);
+  const char* exact_phase = core::regular_phase(nn);
+  return run_par_driver(
+      problem, nprocs, par, hooks, [&](ElasticAttempt& at, RankTrace& trace) {
         mpsim::Comm& comm = at.comm;
+        ParResult& result = *at.result;
         ParCpContext ctx(comm, problem, at.options, at.init_factors);
         at.begin_epoch(ctx);
-        if (nn) ctx.enable_hals(nn->epsilon, nn->inner_iterations);
+        if (nn != nullptr) ctx.enable_hals(*nn);
         const int n = ctx.order();
         LocalPp pp(comm, ctx);
         WallTimer timer;
@@ -229,7 +207,7 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
         int rollbacks = 0;
         bool have_sweep = false;
         bool aborted = false;
-        cur_sweep = total;
+        trace.sweep = total;
         auto sweep_hook = [&](const char* phase, double f) {
           if (!hooks_continue_collective(comm, hooks,
                                          {timer.seconds(), f, phase}))
@@ -249,8 +227,8 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             const double fit_p = fit;
             pp.build();
             ++total;
-            cur_sweep = total;
-            sweep_profiles[me].push_back(
+            trace.sweep = total;
+            trace.profiles.push_back(
                 Profile::thread_default().delta_since(before_init));
             if (comm.rank() == 0) {
               ++result.num_pp_init;
@@ -272,8 +250,8 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
               pp.approx_sweep();
               ++pp_sweeps;
               ++total;
-              cur_sweep = total;
-              sweep_profiles[me].push_back(
+              trace.sweep = total;
+              trace.profiles.push_back(
                   Profile::thread_default().delta_since(before));
               // Approximate fitness doubles as the inner stopping
               // criterion (same role as in the sequential driver).
@@ -327,9 +305,9 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
           const Profile before = Profile::thread_default();
           for (int i = 0; i < n; ++i) ctx.update_mode(i);
           ++total;
-          cur_sweep = total;
+          trace.sweep = total;
           have_sweep = true;
-          sweep_profiles[me].push_back(
+          trace.profiles.push_back(
               Profile::thread_default().delta_since(before));
           fit_old = fit;
           const double r = ctx.residual();
@@ -341,25 +319,7 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             fit = saved_fit;
             fit_old = saved_fit_old;
             have_sweep = false;  // changes vs prev_q are no longer valid
-            if (rollbacks < kParRollbackBudget) {
-              ++rollbacks;
-              if (comm.rank() == 0) {
-                result.recovery_log.push_back(
-                    {total, "non-finite iterate: rolled back to the last "
-                            "good sweep (rollback " +
-                                std::to_string(rollbacks) + "/" +
-                                std::to_string(kParRollbackBudget) + ")"});
-                if (result.status == core::SolveStatus::kOk)
-                  result.status = core::SolveStatus::kRecovered;
-              }
-              continue;
-            }
-            if (comm.rank() == 0) {
-              result.recovery_log.push_back(
-                  {total, "non-finite iterate persisted past the rollback "
-                          "budget; aborting on the last good state"});
-              result.status = core::SolveStatus::kNumericalAbort;
-            }
+            if (retry_after_rollback(result, comm, total, rollbacks)) continue;
             break;
           }
           if (comm.rank() == 0) {
@@ -368,129 +328,32 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             result.fitness = fit;
             result.sweeps = total;
             if (par.base.record_history)
-              result.history.push_back({timer.seconds(), fit, regular_phase});
+              result.history.push_back({timer.seconds(), fit, exact_phase});
           }
           // Checkpoints land after regular (exact) sweeps only, so the
           // saved factors are never mid-approximation.
           if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
               total - last_checkpoint >= hooks.checkpoint_every) {
-            std::vector<la::Matrix> ck_factors;
-            ck_factors.reserve(static_cast<std::size_t>(n));
-            for (int m = 0; m < n; ++m)
-              ck_factors.push_back(ctx.assemble_factor(m));
-            if (comm.rank() == 0)
-              hooks.on_checkpoint(ck_factors, total, fit, fit_old);
+            write_checkpoint(comm, ctx, hooks, total, fit, fit_old);
             last_checkpoint = total;
           }
-          if (!sweep_hook(regular_phase, fit)) break;
+          if (!sweep_hook(exact_phase, fit)) break;
         }
         // Final exact residual at the current factors (the loop may exit
         // mid-PP-phase, leaving the stored residual stale).
         const double r_final = ctx.measure_residual();
-        std::vector<la::Matrix> assembled;
-        for (int m = 0; m < n; ++m) assembled.push_back(ctx.assemble_factor(m));
+        std::vector<la::Matrix> assembled = ctx.assemble_factors();
         if (comm.rank() == 0) {
           result.factors = std::move(assembled);
           result.sweeps = total;
           result.residual = r_final;
           result.fitness = core::fitness_from_residual(r_final);
         }
-              });
-        } catch (const mpsim::CommFailure& e) {
-          abort_reasons[me] = e.what();
-          abort_sweeps[me] = cur_sweep;
-        } catch (const std::exception& e) {
-          abort_reasons[me] = std::string("local exception: ") + e.what();
-          abort_sweeps[me] = cur_sweep;
-          world.poison("rank " + std::to_string(world.rank()) +
-                       " failed: " + e.what());
-        }
-      },
-      ropt);
-  merge_abort_records(result, abort_reasons, abort_sweeps, removed);
-
-  for (std::size_t s = 0;; ++s) {
-    Profile worst;
-    Profile cat_max;
-    double worst_total = -1.0;
-    bool any = false;
-    for (const auto& per_rank : sweep_profiles) {
-      if (s >= per_rank.size()) continue;
-      any = true;
-      cat_max.max_merge(per_rank[s]);
-      if (per_rank[s].total_seconds() > worst_total) {
-        worst_total = per_rank[s].total_seconds();
-        worst = per_rank[s];
-      }
-    }
-    if (!any) break;
-    result.sweep_profiles.push_back(worst);
-    result.critical_path_profile.accumulate(cat_max);
-  }
-  if (!result.history.empty() && result.sweeps > 0) {
-    result.mean_sweep_seconds =
-        result.history.back().seconds / static_cast<double>(result.sweeps);
-  }
-  result.comm_cost = run_result.max_cost();
-  return result;
-}
-
-}  // namespace
-
-ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
-                        const ParPpOptions& options,
-                        const core::DriverHooks& hooks) {
-  return run_par_pp(problem, nprocs, options.par, options.pp, nullptr, hooks);
-}
-
-ParResult par_pp_cp_als(const tensor::DenseTensor& global_t, int nprocs,
-                        const ParPpOptions& options) {
-  return par_pp_cp_als(global_t, nprocs, options, core::DriverHooks{});
-}
-
-ParResult par_pp_cp_als(const tensor::DenseTensor& global_t, int nprocs,
-                        const ParPpOptions& options,
-                        const core::DriverHooks& hooks) {
-  const dist::DenseBlockProblem problem(global_t);
-  return run_par_pp(problem, nprocs, options.par, options.pp, nullptr,
-                    hooks);
-}
-
-ParResult par_pp_cp_als(const tensor::CsfTensor& global_t, int nprocs,
-                        const ParPpOptions& options,
-                        const core::DriverHooks& hooks) {
-  const auto problem =
-      dist::make_sparse_problem(global_t, options.par.partition);
-  return run_par_pp(*problem, nprocs, options.par, options.pp, nullptr,
-                    hooks);
-}
-
-ParResult par_pp_nncp_hals(const dist::DistProblem& problem, int nprocs,
-                           const ParPpNncpOptions& options,
-                           const core::DriverHooks& hooks) {
-  return run_par_pp(problem, nprocs, options.par, options.pp, &options.nn,
-                    hooks);
-}
-
-ParResult par_pp_nncp_hals(const tensor::DenseTensor& global_t, int nprocs,
-                           const ParPpNncpOptions& options,
-                           const core::DriverHooks& hooks) {
-  const dist::DenseBlockProblem problem(global_t);
-  return run_par_pp(problem, nprocs, options.par, options.pp, &options.nn,
-                    hooks);
-}
-
-ParResult par_pp_nncp_hals(const tensor::CsfTensor& global_t, int nprocs,
-                           const ParPpNncpOptions& options,
-                           const core::DriverHooks& hooks) {
-  const auto problem =
-      dist::make_sparse_problem(global_t, options.par.partition);
-  return run_par_pp(*problem, nprocs, options.par, options.pp, &options.nn,
-                    hooks);
+      });
 }
 
 PpKernelTimings time_pp_kernels(const tensor::DenseTensor& global_t,
-                                int nprocs, const ParPpOptions& options,
+                                int nprocs, const ParOptions& options,
                                 int sweeps) {
   PpKernelTimings out;
   std::vector<double> init_secs(static_cast<std::size_t>(nprocs), 0.0);
@@ -498,13 +361,13 @@ PpKernelTimings time_pp_kernels(const tensor::DenseTensor& global_t,
   std::vector<Profile> init_prof(static_cast<std::size_t>(nprocs));
   std::vector<Profile> approx_prof(static_cast<std::size_t>(nprocs));
 
-  ParOptions par = options.par;
+  const dist::DenseBlockProblem problem(global_t);
   mpsim::RunOptions ropt;
-  ropt.threads_per_rank = par.threads_per_rank;
+  ropt.threads_per_rank = options.threads_per_rank;
   auto run_result = mpsim::run(
       nprocs,
       [&](mpsim::Comm& comm) {
-        ParCpContext ctx(comm, global_t, par);
+        ParCpContext ctx(comm, problem, options);
         const int n = ctx.order();
         // One regular sweep to warm the tree cache (donor amortization).
         for (int i = 0; i < n; ++i) ctx.update_mode(i);
@@ -531,9 +394,10 @@ PpKernelTimings time_pp_kernels(const tensor::DenseTensor& global_t,
       ropt);
 
   for (int r = 0; r < nprocs; ++r) {
-    out.init_seconds = std::max(out.init_seconds, init_secs[static_cast<std::size_t>(r)]);
-    out.approx_sweep_seconds =
-        std::max(out.approx_sweep_seconds, approx_secs[static_cast<std::size_t>(r)]);
+    out.init_seconds =
+        std::max(out.init_seconds, init_secs[static_cast<std::size_t>(r)]);
+    out.approx_sweep_seconds = std::max(
+        out.approx_sweep_seconds, approx_secs[static_cast<std::size_t>(r)]);
   }
   out.init_profile = init_prof.empty() ? Profile{} : init_prof[0];
   out.approx_profile = approx_prof.empty() ? Profile{} : approx_prof[0];

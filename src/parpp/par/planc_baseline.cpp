@@ -4,14 +4,9 @@ namespace parpp::par {
 
 ParOptions planc_options(const ParOptions& base) {
   ParOptions opt = base;
-  opt.local_engine = core::EngineKind::kDt;
+  opt.base.engine = core::EngineKind::kDt;
   opt.solve = SolveMode::kReplicatedSequential;
   return opt;
-}
-
-ParResult planc_cp_als(const tensor::DenseTensor& global_t, int nprocs,
-                       const ParOptions& base) {
-  return par_cp_als(global_t, nprocs, planc_options(base));
 }
 
 }  // namespace parpp::par

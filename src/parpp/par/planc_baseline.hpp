@@ -3,8 +3,9 @@
 // Per the paper, the PLANC implementation of parallel dense CP-ALS differs
 // from ours in two ways: it uses the standard dimension tree (never MSDT or
 // PP) and solves the normal equations *sequentially* on replicated data
-// after gathering the MTTKRP output. This wrapper configures Algorithm 3
-// accordingly so benches can plot the PLANC reference series.
+// after gathering the MTTKRP output. planc_options configures Algorithm 3
+// accordingly (run it with par_cp_als) so benches can plot the PLANC
+// reference series.
 #pragma once
 
 #include "parpp/par/par_cp_als.hpp"
@@ -13,9 +14,5 @@ namespace parpp::par {
 
 /// Baseline options: DT local engine + replicated sequential solve.
 [[nodiscard]] ParOptions planc_options(const ParOptions& base);
-
-/// Convenience runner.
-[[nodiscard]] ParResult planc_cp_als(const tensor::DenseTensor& global_t,
-                                     int nprocs, const ParOptions& base);
 
 }  // namespace parpp::par

@@ -1,9 +1,12 @@
-// Method registry: dispatches a SolverSpec to the existing driver cores.
+// Method registry: what each Method means to the four driver cores.
 //
-// Each Method owns one MethodEntry with a sequential and a parallel runner.
-// parpp::solve() looks the entry up and calls the runner matching the
-// Execution axis — adding a CP variant means registering one entry here,
-// not growing another free-function cross-product.
+// A method is two independent choices — which sweep runs (plain ALS,
+// Algorithm 1/3, or pairwise perturbation, Algorithm 2/4) and which factor
+// update it applies (normal-equations solve or nonnegative HALS).
+// parpp::solve() reads both flags off the entry and calls one of
+// core::cp_als, core::pp_cp_als, par::par_cp_als or par::par_pp_cp_als on
+// the problem it built from the tensor source, passing &spec.nncp as the
+// update rule when the method is nonnegative.
 #pragma once
 
 #include <string_view>
@@ -16,25 +19,8 @@ namespace parpp::solver {
 struct MethodEntry {
   Method method;
   std::string_view name;
-  /// Runs the sequential driver core with the legacy options derived from
-  /// the spec plus the facade's hooks.
-  core::CpResult (*sequential)(const tensor::DenseTensor&, const SolverSpec&,
-                               const core::DriverHooks&);
-  /// Runs the simulated-parallel driver core on execution.nprocs ranks.
-  par::ParResult (*parallel)(const tensor::DenseTensor&, const SolverSpec&,
-                             const core::DriverHooks&);
-  /// Runs the sequential core on CSF sparse storage; nullptr when the
-  /// method has no sparse driver. solve() reports the gap as a structured
-  /// error (parpp::error), never a crash.
-  core::CpResult (*sparse_sequential)(const tensor::CsfTensor&,
-                                      const SolverSpec&,
-                                      const core::DriverHooks&) = nullptr;
-  /// Runs the simulated-parallel driver on CSF sparse storage (nonzeros
-  /// partitioned over the grid by dist::SparseBlockDist); nullptr when
-  /// unsupported — solve() reports a structured error.
-  par::ParResult (*sparse_parallel)(const tensor::CsfTensor&,
-                                    const SolverSpec&,
-                                    const core::DriverHooks&) = nullptr;
+  bool pairwise_perturbation;  ///< runs the PP sweep (Algorithm 2 / 4)
+  bool nonnegative;            ///< HALS factor update (core::NncpOptions)
 };
 
 /// The entry for `method`; throws parpp::error for an unregistered method.
@@ -43,8 +29,8 @@ struct MethodEntry {
 /// All registered methods, in enum order (CLI help, bench sweeps).
 [[nodiscard]] const std::vector<MethodEntry>& registered_methods();
 
-/// Legacy option structs derived from a spec — shared by the registry
-/// runners and exposed for tests that compare facade vs legacy drivers.
+/// Driver option structs derived from a spec — what solve() passes to the
+/// cores, exposed for tests that call a core directly.
 [[nodiscard]] core::CpOptions base_options(const SolverSpec& spec);
 [[nodiscard]] par::ParOptions par_options(const SolverSpec& spec, int order);
 

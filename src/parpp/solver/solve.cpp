@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <utility>
 
+#include "parpp/dist/sparse_dist.hpp"
+#include "parpp/par/par_pp.hpp"
 #include "parpp/solver/registry.hpp"
 #include "parpp/util/rng.hpp"
 #include "parpp/util/serialize.hpp"
@@ -62,6 +65,36 @@ SolveReport from_par_result(par::ParResult&& r) {
   return report;
 }
 
+/// Builds the storage-blind problem once and runs the one driver core the
+/// (execution, method) pair selects; the method's update rule travels as
+/// the nn pointer (null = normal-equations solve).
+SolveReport run_driver(const solver::TensorSource& t, const SolverSpec& spec,
+                       const solver::MethodEntry& entry,
+                       const core::DriverHooks& hooks) {
+  const core::NncpOptions* nn = entry.nonnegative ? &spec.nncp : nullptr;
+  if (spec.execution.is_parallel()) {
+    const std::unique_ptr<dist::DistProblem> problem =
+        t.is_sparse()
+            ? dist::make_sparse_problem(t.sparse(), spec.execution.partition)
+            : std::make_unique<dist::DenseBlockProblem>(t.dense());
+    const int nprocs = spec.execution.nprocs;
+    const par::ParOptions options = solver::par_options(
+        spec, static_cast<int>(problem->global_shape().size()));
+    return from_par_result(
+        entry.pairwise_perturbation
+            ? par::par_pp_cp_als(*problem, nprocs, options, spec.pp, nn, hooks)
+            : par::par_cp_als(*problem, nprocs, options, nn, hooks));
+  }
+  const core::TensorProblem problem = t.is_sparse()
+                                          ? core::make_problem(t.sparse())
+                                          : core::make_problem(t.dense());
+  const core::CpOptions options = solver::base_options(spec);
+  return from_cp_result(
+      entry.pairwise_perturbation
+          ? core::pp_cp_als(problem, options, spec.pp, nn, hooks)
+          : core::cp_als(problem, options, nn, hooks));
+}
+
 [[nodiscard]] bool aborted_status(core::SolveStatus s) {
   return s == core::SolveStatus::kNumericalAbort ||
          s == core::SolveStatus::kCommAbort;
@@ -94,17 +127,6 @@ solver::SolveReport solve(const solver::TensorSource& t,
               "fitness is undefined for a zero tensor");
 
   const solver::MethodEntry& entry = solver::method_entry(spec.method);
-  if (t.is_sparse()) {
-    // Every current method fills both sparse cells; the checks keep future
-    // methods failing with a structured error instead of a null call.
-    if (spec.execution.is_parallel()) {
-      PARPP_CHECK(entry.sparse_parallel != nullptr, "solve: method ",
-                  entry.name, " has no sparse simulated-parallel driver");
-    } else {
-      PARPP_CHECK(entry.sparse_sequential != nullptr, "solve: method ",
-                  entry.name, " has no sparse sequential driver");
-    }
-  }
 
   // Resume: if the checkpoint file exists, warm-start from it and spend
   // only the remaining sweep budget; if it does not (the previous run died
@@ -190,16 +212,7 @@ solver::SolveReport solve(const solver::TensorSource& t,
     };
   }
 
-  SolveReport report =
-      t.is_sparse()
-          ? (eff.execution.is_parallel()
-                 ? from_par_result(
-                       entry.sparse_parallel(t.sparse(), eff, hooks))
-                 : from_cp_result(
-                       entry.sparse_sequential(t.sparse(), eff, hooks)))
-      : eff.execution.is_parallel()
-          ? from_par_result(entry.parallel(t.dense(), eff, hooks))
-          : from_cp_result(entry.sequential(t.dense(), eff, hooks));
+  SolveReport report = run_driver(t, eff, entry, hooks);
 
   if (aborted_status(report.status)) {
     // A guardrail or communicator failure ended the run; the recovery log

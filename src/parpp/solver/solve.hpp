@@ -7,9 +7,9 @@
 //
 // Composes method x execution x engine with pluggable stopping, warm start
 // and per-sweep observation; see spec.hpp for the axes and registry.hpp for
-// how methods plug in. The legacy free functions (core::cp_als,
-// core::pp_cp_als, core::nncp_hals, par::par_cp_als, par::par_pp_cp_als,
-// par::par_nncp_hals) remain as thin shims over the same driver cores.
+// how a method maps onto the four driver cores (core::cp_als,
+// core::pp_cp_als, par::par_cp_als, par::par_pp_cp_als), which callers
+// needing driver internals can also run directly on a problem.
 #pragma once
 
 #include "parpp/solver/spec.hpp"

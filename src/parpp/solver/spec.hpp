@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "parpp/core/cp_als.hpp"
-#include "parpp/core/nncp.hpp"
 #include "parpp/core/pp_als.hpp"
 #include "parpp/mpsim/cost.hpp"
 #include "parpp/par/par_cp_als.hpp"
@@ -26,9 +25,9 @@ namespace parpp::solver {
 /// Non-owning view of the decomposition input — the storage axis of the
 /// solve. Implicitly constructible from either storage class, so
 /// parpp::solve(tensor, spec) reads the same for dense and sparse callers;
-/// the facade dispatches on is_sparse() to the matching driver adapter
-/// (sparse runs never densify — they go through core::TensorProblem and
-/// the CSF engine). The referenced tensor must outlive the solve call.
+/// the facade builds the matching storage-blind problem (core::TensorProblem
+/// or dist::DistProblem) from it, so sparse runs never densify. The
+/// referenced tensor must outlive the solve call.
 class TensorSource {
  public:
   /*implicit*/ TensorSource(const tensor::DenseTensor& t) : dense_(&t) {}
@@ -158,9 +157,9 @@ struct SolverSpec {
   std::uint64_t seed = 42;
 
   /// MTTKRP engine for the regular sweeps — one engine axis for every
-  /// method (overrides PpOptions::regular_engine / NncpOptions::engine).
-  /// The PP methods need a tree engine for their operator-build
-  /// amortization, so kNaive is promoted to kMsdt for them, identically in
+  /// method (CpOptions::engine in the driver cores). The PP methods need a
+  /// tree engine for their operator-build amortization, so kNaive is
+  /// promoted to kMsdt for them (core::pp_regular_engine), identically in
   /// sequential and parallel execution.
   core::EngineKind engine = core::EngineKind::kMsdt;
   core::EngineOptions engine_options = {};
@@ -168,11 +167,9 @@ struct SolverSpec {
   Execution execution = {};
   StoppingRule stopping = {};
 
-  /// PP knobs; used by kPp and kPpNncp (regular_engine is overridden by
-  /// `engine` above).
+  /// PP knobs; used by kPp and kPpNncp.
   core::PpOptions pp = {};
-  /// HALS knobs; used by kNncpHals and kPpNncp (engine is overridden by
-  /// `engine` above).
+  /// HALS knobs; used by kNncpHals and kPpNncp.
   core::NncpOptions nncp = {};
 
   /// Warm start: when non-empty, used instead of the seeded initialization

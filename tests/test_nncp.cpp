@@ -2,13 +2,25 @@
 
 #include <cmath>
 
-#include "parpp/core/nncp.hpp"
 #include "parpp/data/hyperspectral.hpp"
+#include "parpp/solver/solver.hpp"
 #include "parpp/tensor/reconstruct.hpp"
 #include "test_util.hpp"
 
 namespace parpp::core {
 namespace {
+
+using solver::SolveReport;
+
+/// Sequential NNCP-HALS solve of `t` (MSDT engine, seeded start).
+SolveReport nncp(const tensor::DenseTensor& t, const CpOptions& opt,
+                 const NncpOptions& nn = {},
+                 EngineKind engine = EngineKind::kMsdt) {
+  solver::SolverSpec spec = test::spec_like(solver::Method::kNncpHals, opt);
+  spec.engine = engine;
+  spec.nncp = nn;
+  return parpp::solve(t, spec);
+}
 
 /// Nonnegative ground truth: uniform [0,1) factors are nonnegative, so the
 /// planted tensor is recoverable by NNCP.
@@ -18,7 +30,7 @@ TEST(Nncp, RecoversNonnegativeLowRank) {
   opt.rank = 3;
   opt.max_sweeps = 200;
   opt.tol = 1e-9;
-  const CpResult r = nncp_hals(t, opt);
+  const SolveReport r = nncp(t, opt);
   EXPECT_GT(r.fitness, 0.995);
 }
 
@@ -28,7 +40,7 @@ TEST(Nncp, FactorsStayNonnegative) {
   opt.rank = 4;
   opt.max_sweeps = 30;
   opt.tol = 0.0;
-  const CpResult r = nncp_hals(t, opt);
+  const SolveReport r = nncp(t, opt);
   for (const auto& a : r.factors) {
     for (index_t i = 0; i < a.rows(); ++i)
       for (index_t j = 0; j < a.cols(); ++j)
@@ -42,7 +54,7 @@ TEST(Nncp, FitnessNonDecreasing) {
   opt.rank = 5;
   opt.max_sweeps = 25;
   opt.tol = 0.0;
-  const CpResult r = nncp_hals(t, opt);
+  const SolveReport r = nncp(t, opt);
   ASSERT_GE(r.history.size(), 2u);
   for (std::size_t i = 1; i < r.history.size(); ++i)
     EXPECT_GE(r.history[i].fitness, r.history[i - 1].fitness - 1e-8);
@@ -54,11 +66,8 @@ TEST(Nncp, DtAndMsdtEnginesAgree) {
   opt.rank = 2;
   opt.max_sweeps = 20;
   opt.tol = 0.0;
-  NncpOptions nn;
-  nn.engine = EngineKind::kDt;
-  const CpResult dt = nncp_hals(t, opt, nn);
-  nn.engine = EngineKind::kMsdt;
-  const CpResult msdt = nncp_hals(t, opt, nn);
+  const SolveReport dt = nncp(t, opt, {}, EngineKind::kDt);
+  const SolveReport msdt = nncp(t, opt, {}, EngineKind::kMsdt);
   EXPECT_NEAR(dt.fitness, msdt.fitness, 1e-8)
       << "engines are exact, trajectories must match";
 }
@@ -69,7 +78,7 @@ TEST(Nncp, ResidualMatchesExplicit) {
   opt.rank = 2;
   opt.max_sweeps = 60;
   opt.tol = 1e-8;
-  const CpResult r = nncp_hals(t, opt);
+  const SolveReport r = nncp(t, opt);
   EXPECT_NEAR(test::explicit_residual(t, r.factors), r.residual, 1e-6);
 }
 
@@ -84,7 +93,7 @@ TEST(Nncp, HandlesHyperspectralWorkload) {
   opt.rank = 12;
   opt.max_sweeps = 60;
   opt.tol = 1e-6;
-  const CpResult r = nncp_hals(t, opt);
+  const SolveReport r = nncp(t, opt);
   EXPECT_GT(r.fitness, 0.8)
       << "nonnegative radiance data should compress well under NNCP";
 }
@@ -100,8 +109,8 @@ TEST(Nncp, InnerIterationsStayInSameBallpark) {
   opt.tol = 0.0;
   NncpOptions one, three;
   three.inner_iterations = 3;
-  const CpResult r1 = nncp_hals(t, opt, one);
-  const CpResult r3 = nncp_hals(t, opt, three);
+  const SolveReport r1 = nncp(t, opt, one);
+  const SolveReport r3 = nncp(t, opt, three);
   EXPECT_GT(r1.fitness, 0.3);
   EXPECT_GT(r3.fitness, 0.3);
   EXPECT_NEAR(r3.fitness, r1.fitness, 0.05);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "parpp/par/par_cp_als.hpp"
 #include "parpp/par/planc_baseline.hpp"
+#include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
 
 namespace parpp::par {
@@ -31,14 +33,14 @@ TEST_P(ParGrids, MatchesSequentialRun) {
   seq_opt.max_sweeps = 6;
   seq_opt.tol = 0.0;
   seq_opt.engine = core::EngineKind::kDt;
-  const core::CpResult seq = core::cp_als(t, seq_opt);
+  const core::CpResult seq = core::cp_als(core::make_problem(t), seq_opt);
 
   ParOptions par_opt;
   par_opt.base = seq_opt;
   par_opt.grid_dims = GetParam().dims;
   int nprocs = 1;
   for (int d : GetParam().dims) nprocs *= d;
-  const ParResult par = par_cp_als(t, nprocs, par_opt);
+  const ParResult par = par_cp_als(dist::DenseBlockProblem(t), nprocs, par_opt);
 
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
   ASSERT_EQ(par.factors.size(), seq.factors.size());
@@ -62,10 +64,10 @@ TEST(ParCpAls, MsdtLocalEngineMatchesDt) {
   opt.base.max_sweeps = 5;
   opt.base.tol = 0.0;
   opt.grid_dims = {2, 2, 2};
-  opt.local_engine = core::EngineKind::kDt;
-  const ParResult dt = par_cp_als(t, 8, opt);
-  opt.local_engine = core::EngineKind::kMsdt;
-  const ParResult msdt = par_cp_als(t, 8, opt);
+  opt.base.engine = core::EngineKind::kDt;
+  const ParResult dt = par_cp_als(dist::DenseBlockProblem(t), 8, opt);
+  opt.base.engine = core::EngineKind::kMsdt;
+  const ParResult msdt = par_cp_als(dist::DenseBlockProblem(t), 8, opt);
   EXPECT_NEAR(dt.fitness, msdt.fitness, 1e-8);
 }
 
@@ -76,8 +78,9 @@ TEST(ParCpAls, PlancBaselineMatchesDistributedSolve) {
   opt.base.max_sweeps = 4;
   opt.base.tol = 0.0;
   opt.grid_dims = {2, 2, 1};
-  const ParResult ours = par_cp_als(t, 4, opt);
-  const ParResult planc = planc_cp_als(t, 4, opt);
+  const dist::DenseBlockProblem problem(t);
+  const ParResult ours = par_cp_als(problem, 4, opt);
+  const ParResult planc = par_cp_als(problem, 4, planc_options(opt));
   EXPECT_NEAR(ours.fitness, planc.fitness, 1e-8);
   // PLANC moves more words (the extra M All-Gather).
   EXPECT_GT(planc.comm_cost.total().words_horizontal,
@@ -90,11 +93,11 @@ TEST(ParCpAls, Order4Grid) {
   seq_opt.rank = 3;
   seq_opt.max_sweeps = 4;
   seq_opt.tol = 0.0;
-  const core::CpResult seq = core::cp_als(t, seq_opt);
+  const core::CpResult seq = core::cp_als(core::make_problem(t), seq_opt);
   ParOptions opt;
   opt.base = seq_opt;
   opt.grid_dims = {2, 1, 2, 2};
-  const ParResult par = par_cp_als(t, 8, opt);
+  const ParResult par = par_cp_als(dist::DenseBlockProblem(t), 8, opt);
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
 }
 
@@ -105,11 +108,11 @@ TEST(ParCpAls, NonDivisibleExtentsStillExact) {
   seq_opt.rank = 3;
   seq_opt.max_sweeps = 5;
   seq_opt.tol = 0.0;
-  const core::CpResult seq = core::cp_als(t, seq_opt);
+  const core::CpResult seq = core::cp_als(core::make_problem(t), seq_opt);
   ParOptions opt;
   opt.base = seq_opt;
   opt.grid_dims = {2, 2, 2};
-  const ParResult par = par_cp_als(t, 8, opt);
+  const ParResult par = par_cp_als(dist::DenseBlockProblem(t), 8, opt);
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
   for (std::size_t m = 0; m < seq.factors.size(); ++m)
     EXPECT_LE(par.factors[m].max_abs_diff(seq.factors[m]), 1e-6);
@@ -122,13 +125,34 @@ TEST(ParCpAls, SweepProfilesRecorded) {
   opt.base.max_sweeps = 3;
   opt.base.tol = 0.0;
   opt.grid_dims = {2, 2, 1};
-  const ParResult r = par_cp_als(t, 4, opt);
+  const ParResult r = par_cp_als(dist::DenseBlockProblem(t), 4, opt);
   ASSERT_EQ(static_cast<int>(r.sweep_profiles.size()), r.sweeps);
   for (const auto& p : r.sweep_profiles) {
     EXPECT_GT(p.flops(Kernel::kTTM), 0.0);
   }
   EXPECT_GT(r.comm_cost.total().messages, 0.0);
   EXPECT_GT(r.mean_sweep_seconds, 0.0);
+}
+
+TEST(ParCpAls, NonnegativeSweepProfilesRecordedThroughSolve) {
+  // The nonnegative methods run the same parallel cores, so they report
+  // one slowest-rank profile per sweep and a critical path, like ALS.
+  const auto t = test::low_rank_tensor({8, 8, 8}, 3, 808);
+  for (solver::Method method :
+       {solver::Method::kNncpHals, solver::Method::kPpNncp}) {
+    solver::SolverSpec spec;
+    spec.method = method;
+    spec.rank = 3;
+    spec.stopping.max_sweeps = 12;
+    spec.stopping.fitness_tol = 0.0;
+    spec.pp.pp_tol = 0.3;
+    spec.execution = solver::Execution::simulated_parallel(4);
+    const solver::SolveReport r = parpp::solve(t, spec);
+    const std::string name(solver::to_string(method));
+    ASSERT_EQ(static_cast<int>(r.sweep_profiles.size()), r.sweeps) << name;
+    EXPECT_GT(r.critical_path_profile.seconds(Kernel::kTTM), 0.0) << name;
+    EXPECT_GT(r.profile.flops(Kernel::kTTM), 0.0) << name;
+  }
 }
 
 TEST(ParCpAls, CommCostScalesWithCollectiveCount) {
@@ -138,9 +162,9 @@ TEST(ParCpAls, CommCostScalesWithCollectiveCount) {
   opt.base.tol = 0.0;
   opt.grid_dims = {2, 2, 2};
   opt.base.max_sweeps = 2;
-  const ParResult two = par_cp_als(t, 8, opt);
+  const ParResult two = par_cp_als(dist::DenseBlockProblem(t), 8, opt);
   opt.base.max_sweeps = 4;
-  const ParResult four = par_cp_als(t, 8, opt);
+  const ParResult four = par_cp_als(dist::DenseBlockProblem(t), 8, opt);
   EXPECT_GT(four.comm_cost.total().messages,
             1.5 * two.comm_cost.total().messages);
 }

@@ -12,14 +12,15 @@ namespace {
 
 TEST(ParPp, ConvergesOnLowRankTensor) {
   const auto t = test::low_rank_tensor({8, 8, 8}, 3, 901);
-  ParPpOptions opt;
-  opt.par.base.rank = 3;
-  opt.par.base.max_sweeps = 120;
-  opt.par.base.tol = 1e-9;
-  opt.par.grid_dims = {2, 2, 2};
-  opt.par.local_engine = core::EngineKind::kMsdt;
-  opt.pp.pp_tol = 0.1;
-  const ParResult r = par_pp_cp_als(t, 8, opt);
+  ParOptions opt;
+  opt.base.rank = 3;
+  opt.base.max_sweeps = 120;
+  opt.base.tol = 1e-9;
+  opt.base.engine = core::EngineKind::kMsdt;
+  opt.grid_dims = {2, 2, 2};
+  core::PpOptions pp;
+  pp.pp_tol = 0.1;
+  const ParResult r = par_pp_cp_als(dist::DenseBlockProblem(t), 8, opt, pp);
   EXPECT_GT(r.fitness, 0.999);
 }
 
@@ -32,13 +33,14 @@ TEST(ParPp, TracksSequentialPpFitness) {
   base.tol = 1e-8;
   core::PpOptions pp;
   pp.pp_tol = 0.3;
-  const core::CpResult seq = core::pp_cp_als(gen.tensor, base, pp);
+  const core::CpResult seq =
+      core::pp_cp_als(core::make_problem(gen.tensor), base, pp);
 
-  ParPpOptions opt;
-  opt.par.base = base;
-  opt.par.grid_dims = {2, 2, 1};
-  opt.pp = pp;
-  const ParResult par = par_pp_cp_als(gen.tensor, 4, opt);
+  ParOptions opt;
+  opt.base = base;
+  opt.grid_dims = {2, 2, 1};
+  const ParResult par =
+      par_pp_cp_als(dist::DenseBlockProblem(gen.tensor), 4, opt, pp);
   // PP phase entry depends on norm comparisons that are identical in exact
   // arithmetic; allow small drift from reduction-order round-off.
   EXPECT_NEAR(par.fitness, seq.fitness, 5e-3);
@@ -49,22 +51,24 @@ TEST(ParPp, TracksSequentialPpFitness) {
 TEST(ParPp, PpSweepsActivateOnSlowConvergence) {
   const auto gen =
       data::make_collinear_tensor({12, 12, 12}, 4, 0.85, 0.9, 903);
-  ParPpOptions opt;
-  opt.par.base.rank = 4;
-  opt.par.base.max_sweeps = 100;
-  opt.par.base.tol = 1e-9;
-  opt.par.grid_dims = {2, 2, 1};
-  opt.pp.pp_tol = 0.1;
-  const ParResult r = par_pp_cp_als(gen.tensor, 4, opt);
+  ParOptions opt;
+  opt.base.rank = 4;
+  opt.base.max_sweeps = 100;
+  opt.base.tol = 1e-9;
+  opt.grid_dims = {2, 2, 1};
+  core::PpOptions pp;
+  pp.pp_tol = 0.1;
+  const ParResult r =
+      par_pp_cp_als(dist::DenseBlockProblem(gen.tensor), 4, opt, pp);
   EXPECT_GT(r.num_pp_init, 0);
   EXPECT_GT(r.num_pp_approx, 0);
 }
 
 TEST(ParPp, KernelTimingsProduceSaneOutput) {
   const auto t = test::random_tensor({12, 12, 12}, 904);
-  ParPpOptions opt;
-  opt.par.base.rank = 4;
-  opt.par.grid_dims = {2, 2, 1};
+  ParOptions opt;
+  opt.base.rank = 4;
+  opt.grid_dims = {2, 2, 1};
   const PpKernelTimings timings = time_pp_kernels(t, 4, opt, 3);
   EXPECT_GT(timings.init_seconds, 0.0);
   EXPECT_GT(timings.approx_sweep_seconds, 0.0);
@@ -78,9 +82,9 @@ TEST(ParPp, KernelTimingsProduceSaneOutput) {
 
 TEST(ParPp, RefImplementationCostsMoreCommunication) {
   const auto t = test::random_tensor({12, 12, 12}, 905);
-  ParPpOptions opt;
-  opt.par.base.rank = 4;
-  opt.par.grid_dims = {2, 2, 2};
+  ParOptions opt;
+  opt.base.rank = 4;
+  opt.grid_dims = {2, 2, 2};
   const PpKernelTimings ours = time_pp_kernels(t, 8, opt, 3);
   const PpKernelTimings ref = time_ref_pp_kernels(t, 8, opt, 3);
   EXPECT_GT(ref.comm_cost.total().words_horizontal,
@@ -92,22 +96,23 @@ TEST(ParPp, RefApproxStepStillExactForZeroPerturbation) {
   // With dA = 0 the reference approx sweep reduces to solving with M_p —
   // it must keep the factors consistent (no NaNs, residual well-defined).
   const auto t = test::low_rank_tensor({8, 8, 8}, 2, 906);
-  ParPpOptions opt;
-  opt.par.base.rank = 2;
-  opt.par.grid_dims = {2, 1, 1};
+  ParOptions opt;
+  opt.base.rank = 2;
+  opt.grid_dims = {2, 1, 1};
   const PpKernelTimings timings = time_ref_pp_kernels(t, 2, opt, 2);
   EXPECT_TRUE(std::isfinite(timings.approx_sweep_seconds));
 }
 
 TEST(ParPp, Order4GridRuns) {
   const auto t = test::low_rank_tensor({6, 4, 4, 6}, 2, 907);
-  ParPpOptions opt;
-  opt.par.base.rank = 2;
-  opt.par.base.max_sweeps = 60;
-  opt.par.base.tol = 1e-8;
-  opt.par.grid_dims = {2, 1, 1, 2};
-  opt.pp.pp_tol = 0.1;
-  const ParResult r = par_pp_cp_als(t, 4, opt);
+  ParOptions opt;
+  opt.base.rank = 2;
+  opt.base.max_sweeps = 60;
+  opt.base.tol = 1e-8;
+  opt.grid_dims = {2, 1, 1, 2};
+  core::PpOptions pp;
+  pp.pp_tol = 0.1;
+  const ParResult r = par_pp_cp_als(dist::DenseBlockProblem(t), 4, opt, pp);
   EXPECT_GT(r.fitness, 0.99);
 }
 

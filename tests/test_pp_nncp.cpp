@@ -4,13 +4,25 @@
 
 #include <cmath>
 
-#include "parpp/core/pp_nncp.hpp"
 #include "parpp/data/collinearity.hpp"
-#include "parpp/par/par_pp.hpp"
+#include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
 
 namespace parpp::core {
 namespace {
+
+using solver::Method;
+using solver::SolveReport;
+
+/// NNCP-HALS solve of `t` with or without PP (MSDT engine, seeded start).
+SolveReport run(Method method, const tensor::DenseTensor& t,
+                const CpOptions& opt, const PpOptions& pp = {},
+                const solver::Execution& execution = {}) {
+  solver::SolverSpec spec = test::spec_like(method, opt);
+  spec.pp = pp;
+  spec.execution = execution;
+  return parpp::solve(t, spec);
+}
 
 TEST(PpNncp, RecoversNonnegativeLowRank) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 1601);
@@ -20,7 +32,7 @@ TEST(PpNncp, RecoversNonnegativeLowRank) {
   opt.tol = 1e-9;
   PpOptions pp;
   pp.pp_tol = 0.3;
-  const CpResult r = pp_nncp_hals(t, opt, pp);
+  const SolveReport r = run(Method::kPpNncp, t, opt, pp);
   EXPECT_GT(r.fitness, 0.99);
 }
 
@@ -34,7 +46,7 @@ TEST(PpNncp, FactorsStayNonnegative) {
   opt.tol = 0.0;
   PpOptions pp;
   pp.pp_tol = 0.5;
-  const CpResult r = pp_nncp_hals(t, opt, pp);
+  const SolveReport r = run(Method::kPpNncp, t, opt, pp);
   EXPECT_GT(r.num_pp_approx, 0) << "PP must engage for this test to bite";
   for (const auto& a : r.factors) {
     for (index_t i = 0; i < a.rows(); ++i)
@@ -52,10 +64,10 @@ TEST(PpNncp, UsesPpSweepsOnCollinearityAtEqualFitness) {
   opt.rank = 8;
   opt.max_sweeps = 300;
   opt.tol = 1e-5;
-  const CpResult plain = nncp_hals(gen.tensor, opt);
+  const SolveReport plain = run(Method::kNncpHals, gen.tensor, opt);
   PpOptions pp;
   pp.pp_tol = 0.2;
-  const CpResult accel = pp_nncp_hals(gen.tensor, opt, pp);
+  const SolveReport accel = run(Method::kPpNncp, gen.tensor, opt, pp);
   EXPECT_NEAR(accel.fitness, plain.fitness, 1e-3);
   EXPECT_GT(accel.num_pp_approx, 0);
   EXPECT_LT(accel.num_als_sweeps, plain.num_als_sweeps)
@@ -68,7 +80,7 @@ TEST(PpNncp, ResidualMatchesExplicit) {
   opt.rank = 2;
   opt.max_sweeps = 80;
   opt.tol = 1e-8;
-  const CpResult r = pp_nncp_hals(t, opt);
+  const SolveReport r = run(Method::kPpNncp, t, opt);
   EXPECT_NEAR(test::explicit_residual(t, r.factors), r.residual, 1e-6);
 }
 
@@ -80,13 +92,10 @@ TEST(PpNncp, ParallelMatchesSequentialFitness) {
   opt.tol = 1e-8;
   PpOptions pp;
   pp.pp_tol = 0.3;
-  const CpResult seq = pp_nncp_hals(t, opt, pp);
-
-  par::ParPpNncpOptions popt;
-  popt.par.base = opt;
-  popt.par.grid_dims = {1, 2, 2};
-  popt.pp = pp;
-  const par::ParResult par = par::par_pp_nncp_hals(t, 4, popt);
+  const SolveReport seq = run(Method::kPpNncp, t, opt, pp);
+  const SolveReport par =
+      run(Method::kPpNncp, t, opt, pp,
+          solver::Execution::simulated_parallel(4, {1, 2, 2}));
   // The distributed HALS update is row-exact; PP phase entry depends on
   // norm comparisons whose reduction order differs, so allow small drift.
   EXPECT_NEAR(par.fitness, seq.fitness, 5e-3);

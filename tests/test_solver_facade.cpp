@@ -1,12 +1,10 @@
-// parpp::solve() facade: spec round-trips against the legacy drivers,
+// parpp::solve() facade: spec round-trips against the driver cores,
 // warm-start determinism, observer early-abort and stopping rules.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
-#include "parpp/core/pp_nncp.hpp"
-#include "parpp/par/par_nncp.hpp"
 #include "parpp/par/par_pp.hpp"
 #include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
@@ -67,18 +65,23 @@ TEST(SolverRegistry, ListsEveryMethodOnce) {
   ASSERT_EQ(methods.size(), 4u);
   for (const MethodEntry& e : methods) {
     EXPECT_EQ(&method_entry(e.method), &e);
-    EXPECT_NE(e.sequential, nullptr);
-    EXPECT_NE(e.parallel, nullptr);
+    EXPECT_EQ(e.name, to_string(e.method));
+    // The two flags select among the four driver cores.
+    EXPECT_EQ(e.pairwise_perturbation,
+              e.method == Method::kPp || e.method == Method::kPpNncp);
+    EXPECT_EQ(e.nonnegative,
+              e.method == Method::kNncpHals || e.method == Method::kPpNncp);
   }
 }
 
-// --- spec round-trips: facade == legacy driver, bit for bit ---------------
+// --- spec round-trips: facade == driver core, bit for bit -----------------
 
 TEST(SolveFacade, AlsMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 901);
   const SolverSpec spec = small_spec(Method::kAls);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult legacy = core::cp_als(t, base_options(spec));
+  const core::CpResult legacy =
+      core::cp_als(core::make_problem(t), base_options(spec));
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -89,9 +92,8 @@ TEST(SolveFacade, PpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 902);
   const SolverSpec spec = small_spec(Method::kPp);
   const SolveReport facade = parpp::solve(t, spec);
-  core::PpOptions pp = spec.pp;
-  pp.regular_engine = spec.engine;
-  const core::CpResult legacy = core::pp_cp_als(t, base_options(spec), pp);
+  const core::CpResult legacy =
+      core::pp_cp_als(core::make_problem(t), base_options(spec), spec.pp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -103,9 +105,8 @@ TEST(SolveFacade, NncpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 903);
   const SolverSpec spec = small_spec(Method::kNncpHals);
   const SolveReport facade = parpp::solve(t, spec);
-  core::NncpOptions nn = spec.nncp;
-  nn.engine = spec.engine;
-  const core::CpResult legacy = core::nncp_hals(t, base_options(spec), nn);
+  const core::CpResult legacy =
+      core::cp_als(core::make_problem(t), base_options(spec), &spec.nncp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -115,12 +116,8 @@ TEST(SolveFacade, PpNncpMatchesDriverSequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 904);
   const SolverSpec spec = small_spec(Method::kPpNncp);
   const SolveReport facade = parpp::solve(t, spec);
-  core::PpOptions pp = spec.pp;
-  pp.regular_engine = spec.engine;
-  core::NncpOptions nn = spec.nncp;
-  nn.engine = spec.engine;
-  const core::CpResult legacy =
-      core::pp_nncp_hals(t, base_options(spec), pp, nn);
+  const core::CpResult legacy = core::pp_cp_als(
+      core::make_problem(t), base_options(spec), spec.pp, &spec.nncp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -131,8 +128,8 @@ TEST(SolveFacade, AlsMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kAls);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult legacy =
-      par::par_cp_als(t, 4, par_options(spec, t.order()));
+  const par::ParResult legacy = par::par_cp_als(
+      dist::DenseBlockProblem(t), 4, par_options(spec, t.order()));
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -146,11 +143,8 @@ TEST(SolveFacade, PpMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kPp);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  par::ParPpOptions o;
-  o.par = par_options(spec, t.order());
-  o.pp = spec.pp;
-  o.pp.regular_engine = spec.engine;
-  const par::ParResult legacy = par::par_pp_cp_als(t, 4, o);
+  const par::ParResult legacy = par::par_pp_cp_als(
+      dist::DenseBlockProblem(t), 4, par_options(spec, t.order()), spec.pp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -161,11 +155,9 @@ TEST(SolveFacade, NncpMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kNncpHals);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  par::ParNncpOptions o;
-  o.par = par_options(spec, t.order());
-  o.nn = spec.nncp;
-  o.nn.engine = spec.engine;
-  const par::ParResult legacy = par::par_nncp_hals(t, 4, o);
+  const par::ParResult legacy =
+      par::par_cp_als(dist::DenseBlockProblem(t), 4,
+                      par_options(spec, t.order()), &spec.nncp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);

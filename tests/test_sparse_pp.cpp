@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "parpp/core/pp_als.hpp"
-#include "parpp/core/pp_nncp.hpp"
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/solver/solver.hpp"
@@ -120,8 +119,10 @@ TEST(SparsePp, SequentialSolveTracksDensifiedRun) {
   options.seed = 7;
   core::PpOptions pp;
 
-  const core::CpResult sparse_run = core::pp_cp_als(csf, options, pp);
-  const core::CpResult dense_run = core::pp_cp_als(dense, options, pp);
+  const core::CpResult sparse_run =
+      core::pp_cp_als(core::make_problem(csf), options, pp);
+  const core::CpResult dense_run =
+      core::pp_cp_als(core::make_problem(dense), options, pp);
 
   ASSERT_EQ(sparse_run.history.size(), dense_run.history.size());
   for (std::size_t s = 0; s < sparse_run.history.size(); ++s) {

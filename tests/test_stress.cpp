@@ -80,13 +80,13 @@ TEST_P(ParallelStress, GridMatchesSequential) {
   opt.max_sweeps = 4;
   opt.tol = 0.0;
   opt.seed = seed + 2;
-  const auto seq = core::cp_als(t, opt);
+  const auto seq = core::cp_als(core::make_problem(t), opt);
 
   par::ParOptions popt;
   popt.base = opt;
   popt.grid_dims = mpsim::ProcessorGrid::balanced_dims(
       4, static_cast<int>(shape.size()));
-  const auto par = par::par_cp_als(t, 4, popt);
+  const auto par = par::par_cp_als(dist::DenseBlockProblem(t), 4, popt);
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
 }
 
@@ -110,10 +110,10 @@ TEST_P(PpStress, TracksAlsWithinTolerance) {
   opt.rank = rank;
   opt.max_sweeps = 100;
   opt.tol = 1e-8;
-  const auto als = core::cp_als(t, opt);
+  const auto als = core::cp_als(core::make_problem(t), opt);
   core::PpOptions pp;
   pp.pp_tol = 0.1;
-  const auto ppr = core::pp_cp_als(t, opt, pp);
+  const auto ppr = core::pp_cp_als(core::make_problem(t), opt, pp);
   EXPECT_GE(ppr.fitness, als.fitness - 0.01)
       << "PP must not lose meaningful fitness on " << shape.size()
       << "-order instance";

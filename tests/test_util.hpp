@@ -8,6 +8,7 @@
 
 #include "parpp/core/cp_als.hpp"
 #include "parpp/la/matrix.hpp"
+#include "parpp/solver/spec.hpp"
 #include "parpp/tensor/dense_tensor.hpp"
 #include "parpp/tensor/reconstruct.hpp"
 #include "parpp/util/rng.hpp"
@@ -41,6 +42,20 @@ inline la::Matrix random_matrix(index_t rows, index_t cols,
 inline std::vector<la::Matrix> random_factors(
     const std::vector<index_t>& shape, index_t rank, std::uint64_t seed) {
   return core::init_factors(shape, rank, seed);
+}
+
+/// A parpp::solve() spec running `method` with `opt`'s rank, seed and
+/// stopping rule; every other axis keeps its SolverSpec default
+/// (sequential, MSDT engine).
+inline solver::SolverSpec spec_like(solver::Method method,
+                                    const core::CpOptions& opt) {
+  solver::SolverSpec spec;
+  spec.method = method;
+  spec.rank = opt.rank;
+  spec.seed = opt.seed;
+  spec.stopping.max_sweeps = opt.max_sweeps;
+  spec.stopping.fitness_tol = opt.tol;
+  return spec;
 }
 
 /// Exact low-rank tensor with known factors.
