@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "parpp/core/cp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/core/dim_tree.hpp"
 #include "parpp/core/msdt.hpp"
 #include "parpp/util/rng.hpp"

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "parpp/core/cp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/core/msdt.hpp"
 #include "parpp/util/rng.hpp"
 #include "parpp/util/timer.hpp"

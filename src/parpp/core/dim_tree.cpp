@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "parpp/core/msdt.hpp"
-#include "parpp/core/pp_operators.hpp"
 #include "parpp/tensor/mttkrp_fused.hpp"
 #include "parpp/tensor/mttv.hpp"
 #include "parpp/tensor/transpose.hpp"
@@ -379,13 +378,6 @@ TensorProblem make_problem(const tensor::DenseTensor& t) {
   p.make_engine = [&t](EngineKind kind, const std::vector<la::Matrix>& factors,
                        Profile* profile, const EngineOptions& options) {
     return make_engine(kind, t, factors, profile, options);
-  };
-  p.make_pp_operators = [&t](const std::vector<la::Matrix>& factors,
-                             Profile* profile, const EngineOptions& options) {
-    PARPP_CHECK(options.scalar == la::Scalar::kF64,
-                "make_pp_operators: the dense PP operator chains are "
-                "fp64-only — fp32 storage applies to sparse PP builds");
-    return std::make_unique<PpOperators>(t, factors, profile);
   };
   return p;
 }

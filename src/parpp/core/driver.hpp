@@ -1,4 +1,6 @@
-// Sequential CP-ALS driver (Algorithm 1).
+// What the driver cores (par::par_cp_als, par::par_pp_cp_als) share with
+// their callers: options, per-sweep records, the health verdict, the hooks
+// parpp::solve() threads through, and the factor initialization.
 #pragma once
 
 #include <functional>
@@ -11,6 +13,7 @@
 
 namespace parpp::core {
 
+/// Rank, stopping rule, seed and MTTKRP engine of a driver run.
 struct CpOptions {
   index_t rank = 16;
   int max_sweeps = 300;
@@ -24,10 +27,29 @@ struct CpOptions {
   bool record_history = true;
 };
 
+/// Pairwise-perturbation knobs (Algorithms 2 / 4).
+struct PpOptions {
+  /// PP tolerance epsilon: the approximated step runs while every factor's
+  /// relative change since the snapshot stays below it.
+  double pp_tol = 0.1;
+  /// Record (approximate) fitness after each PP-approximated sweep too.
+  bool record_pp_sweeps = true;
+  /// Disable the second-order V(n) correction (ablation).
+  bool second_order = true;
+  /// Cap on consecutive PP-approximated sweeps inside one PP phase,
+  /// guarding against a stalled inner loop (generous by default).
+  int max_pp_sweeps_per_phase = 500;
+};
+
+/// The engine the PP driver runs its regular sweeps on: the PP operator
+/// build amortizes against a tree engine's cache (footnote 1), so kNaive is
+/// promoted to kMsdt; every other kind is kept.
+[[nodiscard]] EngineKind pp_regular_engine(EngineKind requested);
+
 /// Nonnegative CP via HALS (hierarchical ALS). Passing these to a driver
 /// swaps its normal-equations factor update for projected HALS column
 /// passes (see core/nncp.hpp); the sweep, its MTTKRP engine and the
-/// residual are unchanged, so every driver runs NNCP with its own loop.
+/// residual are unchanged, so both drivers run NNCP with their own loop.
 struct NncpOptions {
   /// Floor applied after each HALS column update (keeps Γ nonsingular).
   double epsilon = 1e-12;
@@ -65,45 +87,27 @@ struct RecoveryEvent {
   std::string what;
 };
 
-struct CpResult {
-  std::vector<la::Matrix> factors;
-  double residual = 1.0;
-  double fitness = 0.0;
-  int sweeps = 0;  ///< total sweeps of any kind
-  std::vector<SweepRecord> history;
-  Profile profile;
-
-  // PP statistics (zero for plain ALS): counts match Tables III/IV.
-  int num_als_sweeps = 0;
-  int num_pp_init = 0;
-  int num_pp_approx = 0;
-
-  // Resilience outcome (kOk + empty log on the legacy happy path).
-  SolveStatus status = SolveStatus::kOk;
-  std::vector<RecoveryEvent> recovery_log;
-};
-
 /// Cross-cutting extension points the parpp::solve() facade threads through
 /// every driver. Default-constructed hooks leave a driver bit-for-bit on its
 /// legacy behavior (no extra collectives, no extra callbacks).
 struct DriverHooks {
-  /// Warm start: used in place of the seeded initialization when non-null.
-  /// Shapes are validated against the tensor and rank. The matrices are
-  /// copied, so the caller's set is untouched.
+  /// Warm start: used in place of the seeded initialization when non-null
+  /// (check_initial_factors validates the shapes). The caller's set is
+  /// only read.
   const std::vector<la::Matrix>* initial_factors = nullptr;
   /// Called after every sweep of any kind ("als", "nncp", "pp-init",
   /// "pp-approx") with the record just produced and the current factors.
-  /// The simulated-parallel drivers pass an empty factor vector (factors
-  /// live distributed) and broadcast the verdict so all ranks agree.
+  /// Runs on rank 0; the verdict is broadcast so all ranks agree. The
+  /// factor vector is empty when nprocs > 1 (factors live distributed).
   /// Returning false aborts the run after the current sweep.
   std::function<bool(const SweepRecord&, const std::vector<la::Matrix>&)>
       on_sweep;
 
   /// Checkpointing: when checkpoint_every > 0 and on_checkpoint is set, the
   /// drivers call it after every checkpoint_every-th sweep with the current
-  /// global factors and stopping-rule state. The parallel drivers assemble
-  /// the factors collectively and invoke the callback on rank 0 only. The
-  /// PP drivers checkpoint after regular (exact) sweeps only, so the saved
+  /// global factors and stopping-rule state. The drivers assemble the
+  /// factors collectively and invoke the callback on rank 0 only. The PP
+  /// driver checkpoints after regular (exact) sweeps only, so the saved
   /// factors are never mid-approximation.
   int checkpoint_every = 0;
   std::function<void(const std::vector<la::Matrix>& factors, int sweep,
@@ -126,23 +130,9 @@ struct DriverHooks {
 [[nodiscard]] std::vector<la::Matrix> init_factors(
     const std::vector<index_t>& shape, index_t rank, std::uint64_t seed);
 
-/// The warm-start factors from `hooks` (validated against `shape`/`rank`)
-/// or, when absent, the seeded initialization above.
-[[nodiscard]] std::vector<la::Matrix> resolve_init_factors(
-    const std::vector<index_t>& shape, index_t rank, std::uint64_t seed,
-    const DriverHooks& hooks);
-
-/// Runs CP-ALS (Algorithm 1) with the selected MTTKRP engine until the
-/// fitness change falls below `tol` or `max_sweeps` is reached. `problem`
-/// hides the storage (core::make_problem over a DenseTensor or CsfTensor),
-/// so dense and sparse storage run the identical sweep, including the
-/// Eq. (3) residual, which reuses the last MTTKRP and never reconstructs
-/// the tensor. With `nn` set, each factor update is the projected HALS
-/// rule instead of the normal-equations solve (nonnegative CP; history
-/// phase "nncp"); the factors then stay entrywise >= 0.
-[[nodiscard]] CpResult cp_als(const TensorProblem& problem,
-                              const CpOptions& options,
-                              const NncpOptions* nn = nullptr,
-                              const DriverHooks& hooks = {});
+/// Throws parpp::error unless `factors` holds one shape[m] x rank matrix
+/// per mode — the warm-start contract.
+void check_initial_factors(const std::vector<index_t>& shape, index_t rank,
+                           const std::vector<la::Matrix>& factors);
 
 }  // namespace parpp::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "parpp/core/solve_update.hpp"
-
 namespace parpp::core {
 
 void hals_pass(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
@@ -24,31 +22,6 @@ void hals_pass(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
       a(i, j) = std::max(v, 0.0);
     }
   }
-}
-
-void hals_update(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
-                 double eps_floor, Profile& profile) {
-  hals_pass(a, m, gamma, eps_floor, profile);
-  // Keep columns away from exact zero so Γ stays nonsingular.
-  const index_t s = a.rows(), r = a.cols();
-  for (index_t j = 0; j < r; ++j) {
-    double col = 0.0;
-    for (index_t i = 0; i < s; ++i) col += a(i, j) * a(i, j);
-    if (col == 0.0) {
-      for (index_t i = 0; i < s; ++i) a(i, j) = eps_floor;
-    }
-  }
-}
-
-void update_factor_rule(la::Matrix& a, const la::Matrix& gamma,
-                        const la::Matrix& m, const NncpOptions* nn,
-                        Profile& profile) {
-  if (nn == nullptr) {
-    a = update_factor(gamma, m, &profile);
-    return;
-  }
-  for (int pass = 0; pass < nn->inner_iterations; ++pass)
-    hals_update(a, m, gamma, nn->epsilon, profile);
 }
 
 }  // namespace parpp::core

@@ -4,9 +4,9 @@
 // on the benchmark of nonnegative tensor decomposition" (citing Liavas et
 // al. and Ballard et al.), and the PLANC comparator is a nonnegative CP
 // code. Nonnegativity only changes the factor update: the bottleneck is
-// the *same* MTTKRP the tree engines accelerate, so every driver (ALS, PP,
-// sequential and parallel) runs NNCP by taking a core::NncpOptions and
-// calling the update rule below in place of the normal-equations solve.
+// the *same* MTTKRP the tree engines accelerate, so both drivers (ALS and
+// PP) run NNCP by taking a core::NncpOptions and calling the pass below in
+// place of the normal-equations solve.
 //
 // HALS updates one rank-one component at a time:
 //   A(n)(:,r) <- max(0, A(n)(:,r) + (M(n)(:,r) - A(n) Γ(n)(:,r)) / Γ(n)(r,r))
@@ -14,29 +14,18 @@
 // structure to plain ALS, plus O(s R^2) vector work.
 #pragma once
 
-#include "parpp/core/cp_als.hpp"
+#include "parpp/la/matrix.hpp"
+#include "parpp/util/profile.hpp"
 
 namespace parpp::core {
 
 /// One projected HALS pass over the columns of A given M = MTTKRP(A's mode)
 /// and Γ:  A(:,r) <- max(0, A(:,r) + (M(:,r) - A Γ(:,r)) / Γ(r,r)).
 /// Columns update sequentially (Gauss-Seidel), rows independently, so the
-/// pass applies unchanged to a rank's block of rows (the parallel drivers
-/// call it on their Q rows and rescue zero columns globally, see
+/// pass applies unchanged to a rank's block of rows (the drivers call it on
+/// their Q rows and rescue zero columns globally, see
 /// par::rescue_zero_columns).
 void hals_pass(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
                double eps_floor, Profile& profile);
-
-/// hals_pass followed by an eps_floor rescue of exactly-zero columns
-/// (keeps Γ nonsingular) — the whole-factor update of the sequential
-/// drivers.
-void hals_update(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
-                 double eps_floor, Profile& profile);
-
-/// The sequential drivers' factor update: the normal-equations solve
-/// A <- M Γ† when `nn` is null, nn->inner_iterations HALS passes otherwise.
-void update_factor_rule(la::Matrix& a, const la::Matrix& gamma,
-                        const la::Matrix& m, const NncpOptions* nn,
-                        Profile& profile);
 
 }  // namespace parpp::core

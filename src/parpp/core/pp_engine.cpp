@@ -37,28 +37,23 @@ void PpApprox::refresh_mode(int i) {
       la::matmul((*factors_)[ui], d_factors_[ui], la::Trans::kYes);
 }
 
-la::Matrix PpApprox::mttkrp_approx(int n) const {
-  Profile& prof = profile_ ? *profile_ : Profile::thread_default();
-  la::Matrix m = ops_->mttkrp_p(n);
-
-  // First-order corrections U(n,i) via the pair operators.
-  for (int i = 0; i < n_; ++i) {
+void add_first_order(const PpOperators& ops, int n,
+                     const std::vector<la::Matrix>& d_factors, la::Matrix& m,
+                     tensor::DenseTensor& u, Profile* profile) {
+  for (int i = 0; i < ops.order(); ++i) {
     if (i == n) continue;
-    const auto& op = ops_->pair_op(std::min(n, i), std::max(n, i));
+    const auto& op = ops.pair_op(std::min(n, i), std::max(n, i));
     const auto it = std::find(op.modes.begin(), op.modes.end(), i);
     PARPP_ASSERT(it != op.modes.end(), "pair op missing mode");
     const int pos = static_cast<int>(it - op.modes.begin());
-    tensor::DenseTensor& u = u_scratch_;
+    const la::Matrix& d = d_factors[static_cast<std::size_t>(i)];
     // fp32-stored pair operators (sparse kF32 builds) stream half the
     // bytes through the correction's mTTV; operators whose mirror went
     // stale (post-processed via mutable_pair_op) fall back to fp64.
     if (op.f32_valid) {
-      tensor::mttv_into_f32(op.data, op.data_f32.data(), pos,
-                            d_factors_[static_cast<std::size_t>(i)], u,
-                            &prof);
+      tensor::mttv_into_f32(op.data, op.data_f32.data(), pos, d, u, profile);
     } else {
-      tensor::mttv_into(op.data, pos, d_factors_[static_cast<std::size_t>(i)],
-                        u, &prof);
+      tensor::mttv_into(op.data, pos, d, u, profile);
     }
     PARPP_ASSERT(u.order() == 2 && u.extent(0) == m.rows(),
                  "U correction shape mismatch");
@@ -66,6 +61,12 @@ la::Matrix PpApprox::mttkrp_approx(int n) const {
     double* md = m.data();
     for (index_t x = 0; x < m.size(); ++x) md[x] += ud[x];
   }
+}
+
+la::Matrix PpApprox::mttkrp_approx(int n) const {
+  Profile& prof = profile_ ? *profile_ : Profile::thread_default();
+  la::Matrix m = ops_->mttkrp_p(n);
+  add_first_order(*ops_, n, d_factors_, m, u_scratch_, &prof);
 
   if (!second_order_) return m;
 

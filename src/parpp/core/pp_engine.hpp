@@ -14,6 +14,16 @@
 
 namespace parpp::core {
 
+/// Adds the first-order corrections sum_{i != n} U(n,i) to `m`: one mTTV of
+/// each pair operator M_p(n,i) with d_factors[i] = dA(i) (d_factors[n] is
+/// not read; the rows of every dA(i) match the operators' tensor). Pair
+/// operators with a valid fp32 mirror (sparse kF32 builds) stream it. `u`
+/// is the mTTV scratch. PpApprox and the parallel PP driver's local
+/// correction both run this.
+void add_first_order(const PpOperators& ops, int n,
+                     const std::vector<la::Matrix>& d_factors, la::Matrix& m,
+                     tensor::DenseTensor& u, Profile* profile);
+
 class PpApprox {
  public:
   /// Binds to built operators and the live factor/Gram vectors; `a_p` is

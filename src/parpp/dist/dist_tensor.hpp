@@ -53,6 +53,12 @@ class BlockDist {
   [[nodiscard]] int blocks(int mode) const {
     return static_cast<int>(bounds_[static_cast<std::size_t>(mode)].size()) - 1;
   }
+  /// One block per mode: the only block is the whole, unpadded tensor.
+  [[nodiscard]] bool one_block() const {
+    for (int m = 0; m < order(); ++m)
+      if (blocks(m) != 1) return false;
+    return true;
+  }
   /// Padded per-rank block extent of `mode`; identical on every rank.
   [[nodiscard]] index_t local_extent(int mode) const {
     return local_shape_[static_cast<std::size_t>(mode)];

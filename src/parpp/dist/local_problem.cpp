@@ -6,10 +6,15 @@ namespace parpp::dist {
 
 namespace {
 
+/// A rank's dense block: an extracted copy, or a view of the global tensor
+/// when the block is the whole tensor (a one-block grid).
 class DenseLocalProblem final : public LocalProblem {
  public:
   explicit DenseLocalProblem(tensor::DenseTensor block)
-      : block_(std::move(block)), sq_norm_(block_.squared_norm()) {}
+      : owned_(std::move(block)), block_(owned_),
+        sq_norm_(block_.squared_norm()) {}
+  explicit DenseLocalProblem(const tensor::DenseTensor* whole)
+      : block_(*whole), sq_norm_(block_.squared_norm()) {}
 
   [[nodiscard]] const std::vector<index_t>& shape() const override {
     return block_.shape();
@@ -32,7 +37,8 @@ class DenseLocalProblem final : public LocalProblem {
   }
 
  private:
-  tensor::DenseTensor block_;
+  tensor::DenseTensor owned_;  ///< empty for a whole-tensor view
+  const tensor::DenseTensor& block_;
   double sq_norm_;
 };
 
@@ -40,6 +46,7 @@ class DenseLocalProblem final : public LocalProblem {
 
 std::unique_ptr<LocalProblem> DenseBlockProblem::make_local(
     const BlockDist& dist, const std::vector<int>& coords) const {
+  if (dist.one_block()) return std::make_unique<DenseLocalProblem>(t_);
   return std::make_unique<DenseLocalProblem>(
       extract_local_block(*t_, dist, coords));
 }

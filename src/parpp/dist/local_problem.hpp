@@ -1,8 +1,8 @@
-// Storage-agnostic distributed tensor problems for the parallel drivers.
+// Storage-agnostic distributed tensor problems for the driver cores.
 //
-// dist::LocalProblem is the per-rank analogue of core::TensorProblem: the
-// complete contract between one grid block's storage and the Algorithm 3/4
-// driver loop — the (padded) block shape the slice factors must match, the
+// dist::LocalProblem is the complete contract between one grid block's
+// storage and the Algorithm 3/4 driver loop (a one-rank run's block is the
+// whole tensor) — the (padded) block shape the slice factors must match, the
 // block's squared Frobenius norm feeding the Eq. (3) residual reductions,
 // the local MTTKRP engine factory, and the pairwise-perturbation operator
 // factory for the Algorithm 4 initialization. dist::DistProblem hands out
@@ -82,7 +82,8 @@ class DistProblem {
 };
 
 /// Dense storage: hyper-rectangular zero-padded slabs via
-/// extract_local_block (Sec. II-A). Non-owning — `t` must outlive this and
+/// extract_local_block (Sec. II-A); a one-block grid views the tensor
+/// instead of copying it. Non-owning — `t` must outlive this and
 /// every local problem made from it.
 class DenseBlockProblem final : public DistProblem {
  public:

@@ -1,6 +1,8 @@
 #include "parpp/dist/sparse_dist.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/core/sparse_engine.hpp"
@@ -9,10 +11,14 @@ namespace parpp::dist {
 
 namespace {
 
+/// A rank's sparse block: CSF built from its bucket, or a view of the
+/// input's trees when the block is the whole tensor (a one-block grid).
 class SparseLocalProblem final : public LocalProblem {
  public:
   explicit SparseLocalProblem(const tensor::CooTensor& local_coo)
-      : block_(local_coo) {}
+      : owned_(std::in_place, local_coo), block_(*owned_) {}
+  explicit SparseLocalProblem(const tensor::CsfTensor* whole)
+      : block_(*whole) {}
 
   [[nodiscard]] const std::vector<index_t>& shape() const override {
     return block_.shape();
@@ -38,7 +44,8 @@ class SparseLocalProblem final : public LocalProblem {
   }
 
  private:
-  tensor::CsfTensor block_;
+  std::optional<tensor::CsfTensor> owned_;  ///< empty for a view
+  const tensor::CsfTensor& block_;
 };
 
 }  // namespace
@@ -49,11 +56,18 @@ SparseBlockDist::SparseBlockDist(const tensor::CooTensor& coo) : coo_(&coo) {
               "CooTensor::coalesce() first");
 }
 
-SparseBlockDist::SparseBlockDist(const tensor::CsfTensor& t)
-    : owned_(t.to_coo()), coo_(&owned_) {}
+SparseBlockDist::SparseBlockDist(const tensor::CsfTensor& t) : csf_(&t) {}
 
 const std::vector<index_t>& SparseBlockDist::global_shape() const {
-  return coo_->shape();
+  return csf_ != nullptr ? csf_->shape() : coo_->shape();
+}
+
+const tensor::CooTensor& SparseBlockDist::coo() const {
+  if (coo_ == nullptr) {
+    owned_ = csf_->to_coo();
+    coo_ = &owned_;
+  }
+  return *coo_;
 }
 
 std::size_t SparseBlockDist::partition_passes() const {
@@ -66,7 +80,7 @@ std::unique_ptr<LocalProblem> SparseBlockDist::make_local(
   const int n = dist.order();
   PARPP_CHECK(static_cast<int>(coords.size()) == n,
               "SparseBlockDist: coordinate order mismatch");
-  PARPP_CHECK(coo_->shape() == dist.global_shape(),
+  PARPP_CHECK(global_shape() == dist.global_shape(),
               "SparseBlockDist: BlockDist shape mismatch");
 
   index_t flat = 0;
@@ -76,6 +90,8 @@ std::unique_ptr<LocalProblem> SparseBlockDist::make_local(
                 "SparseBlockDist: coordinate out of grid");
     flat = flat * dist.blocks(m) + c;
   }
+  if (csf_ != nullptr && dist.one_block())
+    return std::make_unique<SparseLocalProblem>(csf_);
 
   // The first rank to arrive with this geometry runs the shared bucketing
   // pass; everyone else (the common case: all P ranks of one run) finds
@@ -106,7 +122,8 @@ std::unique_ptr<LocalProblem> SparseBlockDist::make_local(
 
 void SparseBlockDist::rebuild_buckets(const BlockDist& dist) const {
   const int n = dist.order();
-  const index_t nnz = coo_->nnz();
+  const tensor::CooTensor& coo = this->coo();
+  const index_t nnz = coo.nnz();
 
   // Owner lookup tables, one per mode: O(sum extents), O(1) per entry.
   std::vector<std::vector<int>> owner(static_cast<std::size_t>(n));
@@ -136,7 +153,7 @@ void SparseBlockDist::rebuild_buckets(const BlockDist& dist) const {
     for (int m = 0; m < n; ++m)
       b = b * dist.blocks(m) +
           owner[static_cast<std::size_t>(m)]
-               [static_cast<std::size_t>(coo_->index(e, m))];
+               [static_cast<std::size_t>(coo.index(e, m))];
     dest[static_cast<std::size_t>(e)] = b;
     ++counts[static_cast<std::size_t>(b)];
   }
@@ -154,9 +171,9 @@ void SparseBlockDist::rebuild_buckets(const BlockDist& dist) const {
       const int c = static_cast<int>(rem % dist.blocks(m));
       rem /= dist.blocks(m);
       lidx[static_cast<std::size_t>(m)] =
-          coo_->index(e, m) - dist.slab_offset(m, c);
+          coo.index(e, m) - dist.slab_offset(m, c);
     }
-    buckets_[static_cast<std::size_t>(b)].push(lidx, coo_->value(e));
+    buckets_[static_cast<std::size_t>(b)].push(lidx, coo.value(e));
   }
   for (auto& b : buckets_) b.coalesce();
   cached_bounds_ = dist.bounds();

@@ -43,9 +43,10 @@ class SparseBlockDist : public DistProblem {
   /// every local problem made from it).
   explicit SparseBlockDist(const tensor::CooTensor& coo);
 
-  /// Owning adapter for already-compressed storage: reconstructs the
-  /// coalesced entry list from `t`'s mode-0 fiber tree. `t` may be
-  /// discarded afterwards.
+  /// Non-owning view of already-compressed storage (must outlive this and
+  /// every local problem made from it). A one-block grid reads `t` in
+  /// place; any other geometry first reconstructs the coalesced entry list
+  /// from `t`'s mode-0 fiber tree.
   explicit SparseBlockDist(const tensor::CsfTensor& t);
 
   // coo_ may point into owned_, so default copies/moves would leave the
@@ -68,14 +69,17 @@ class SparseBlockDist : public DistProblem {
   [[nodiscard]] std::size_t partition_passes() const;
 
  protected:
-  [[nodiscard]] const tensor::CooTensor& coo() const { return *coo_; }
+  /// The entry list, flattened from the CSF input on first use. Call it
+  /// before any rank runs or with mu_ held.
+  [[nodiscard]] const tensor::CooTensor& coo() const;
 
  private:
   /// The shared bucketing pass (call with mu_ held).
   void rebuild_buckets(const BlockDist& dist) const;
 
-  tensor::CooTensor owned_;  ///< engaged by the CsfTensor constructor
-  const tensor::CooTensor* coo_;
+  const tensor::CsfTensor* csf_ = nullptr;  ///< set by the CSF constructor
+  mutable tensor::CooTensor owned_;  ///< csf_ flattened by coo()
+  mutable const tensor::CooTensor* coo_ = nullptr;
 
   // Bucket cache for the current geometry, built lazily under mu_ by the
   // first make_local of a run, read by every rank, and dropped once all
@@ -92,7 +96,8 @@ class SparseBlockDist : public DistProblem {
 
 /// nnz-balanced sparse distribution: same bucketing machinery, non-uniform
 /// chains-on-chains boundaries. Slice nnz histograms are accumulated once
-/// at construction (O(nnz)); each make_block_dist() call only partitions
+/// at construction (O(nnz), from the entry list, so a CSF input is
+/// flattened there); each make_block_dist() call only partitions
 /// the histograms for the requested grid (O(sum extents * log nnz)).
 class BalancedSparseDist final : public SparseBlockDist {
  public:

@@ -82,40 +82,49 @@ RunResult run(int nprocs, const std::function<void(Comm&)>& body,
   }
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
   std::vector<char> comm_failures(static_cast<std::size_t>(nprocs), 0);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nprocs));
-
-  for (int r = 0; r < nprocs; ++r) {
-    threads.emplace_back([&, r] {
+  // One rank needs no thread: it runs inline on the caller, keeping the
+  // caller's OpenMP team and thread-local state (workspace, solver stats),
+  // so a one-rank run computes exactly what a plain sequential loop would.
+  const bool inline_rank = nprocs == 1;
+  auto rank_main = [&](int r) {
+    if (!inline_rank) {
       omp_set_num_threads(std::max(1, options.threads_per_rank));
       Profile::thread_default().clear();
-      // Pass no explicit profile: collectives then charge the thread-local
-      // default, the same sink the kernels use, so per-sweep deltas taken by
-      // drivers see compute and communication together.
-      Comm comm(group, r, &result.costs[static_cast<std::size_t>(r)], nullptr,
-                faults[static_cast<std::size_t>(r)].get());
-      try {
-        body(comm);
-      } catch (const CommFailure&) {
-        // The tree is already poisoned (that is how CommFailure spreads);
-        // just record it.
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        comm_failures[static_cast<std::size_t>(r)] = 1;
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        group->poison_tree("rank " + std::to_string(r) +
-                           " exception: " + e.what());
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        group->poison_tree("rank " + std::to_string(r) +
-                           " threw a non-standard exception");
-      }
-      // Kernels that used the thread-local default profile report here.
-      result.profiles[static_cast<std::size_t>(r)].accumulate(
-          Profile::thread_default());
-    });
+    }
+    const Profile before = Profile::thread_default();
+    // Pass no explicit profile: collectives then charge the thread-local
+    // default, the same sink the kernels use, so per-sweep deltas taken by
+    // drivers see compute and communication together.
+    Comm comm(group, r, &result.costs[static_cast<std::size_t>(r)], nullptr,
+              faults[static_cast<std::size_t>(r)].get());
+    try {
+      body(comm);
+    } catch (const CommFailure&) {
+      // The tree is already poisoned (that is how CommFailure spreads);
+      // just record it.
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      comm_failures[static_cast<std::size_t>(r)] = 1;
+    } catch (const std::exception& e) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      group->poison_tree("rank " + std::to_string(r) +
+                         " exception: " + e.what());
+    } catch (...) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      group->poison_tree("rank " + std::to_string(r) +
+                         " threw a non-standard exception");
+    }
+    // Kernels that used the thread-local default profile report here.
+    result.profiles[static_cast<std::size_t>(r)].accumulate(
+        Profile::thread_default().delta_since(before));
+  };
+  if (inline_rank) {
+    rank_main(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(nprocs));
+    for (int r = 0; r < nprocs; ++r) threads.emplace_back(rank_main, r);
+    for (auto& t : threads) t.join();
   }
-  for (auto& t : threads) t.join();
   // Prefer the root cause: a rank's own exception poisons the tree and the
   // peers then all throw secondary CommFailures.
   for (std::size_t r = 0; r < errors.size(); ++r)

@@ -11,7 +11,8 @@ namespace parpp::mpsim {
 
 struct RunOptions {
   /// OpenMP threads each rank may use inside kernels. Default 1 so rank
-  /// wall-times are comparable; raise it for few-rank runs.
+  /// wall-times are comparable; raise it for few-rank runs. No effect on a
+  /// one-rank run, which keeps the caller's OpenMP setting.
   int threads_per_rank = 1;
   /// Injected communication fault for chaos runs (none by default).
   FaultPlan fault = {};
@@ -44,13 +45,14 @@ struct RunResult {
   [[nodiscard]] Profile max_profile() const;        ///< per-category max
 };
 
-/// Runs `body(comm)` on `nprocs` ranks (std::thread each) and returns the
-/// per-rank accounting. A rank-body exception poisons the communicator tree
-/// so the surviving ranks observe CommFailure at their next collective
-/// instead of deadlocking; after all ranks join, the first non-CommFailure
-/// exception (or, failing that, the first CommFailure) is rethrown. Bodies
-/// that catch CommFailure themselves — the resilient drivers — therefore
-/// return normally with their structured reports.
+/// Runs `body(comm)` on `nprocs` ranks (std::thread each; a single rank
+/// runs inline on the calling thread) and returns the per-rank accounting.
+/// A rank-body exception poisons the communicator tree so the surviving
+/// ranks observe CommFailure at their next collective instead of
+/// deadlocking; after all ranks join, the first non-CommFailure exception
+/// (or, failing that, the first CommFailure) is rethrown. Bodies that catch
+/// CommFailure themselves — the resilient drivers — therefore return
+/// normally with their structured reports.
 RunResult run(int nprocs, const std::function<void(Comm&)>& body,
               const RunOptions& options = {});
 

@@ -37,11 +37,14 @@ bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
 
 bool hooks_continue_collective(mpsim::Comm& comm,
                                const core::DriverHooks& hooks,
-                               const core::SweepRecord& rec) {
+                               const core::SweepRecord& rec,
+                               const std::vector<la::Matrix>& factors) {
   if (!hooks.on_sweep) return true;
   static const std::vector<la::Matrix> kNoFactors;
   double stop = 0.0;
-  if (comm.rank() == 0 && !hooks.on_sweep(rec, kNoFactors)) stop = 1.0;
+  if (comm.rank() == 0 &&
+      !hooks.on_sweep(rec, comm.size() == 1 ? factors : kNoFactors))
+    stop = 1.0;
   comm.allreduce_sum(&stop, 1, PARPP_COMM_TAG("observer-stop-allreduce"));
   return stop == 0.0;
 }
@@ -58,13 +61,18 @@ ParCpContext::ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
       local_(problem_->make_local(dist_, grid_.coords())),
       fd_(grid_, dist_, options.base.rank) {
   // Deterministic global initialization so any grid reproduces the
-  // sequential run bit-for-bit (each rank generates — or, for a warm
-  // start, copies — the same matrices).
-  core::DriverHooks init_hooks;
-  init_hooks.initial_factors = initial_factors;
-  const auto global_factors = core::resolve_init_factors(
-      dist_.global_shape(), options_.base.rank, options_.base.seed,
-      init_hooks);
+  // one-rank run bit-for-bit (each rank generates — or, for a warm start,
+  // reads — the same matrices).
+  std::vector<la::Matrix> seeded;
+  if (initial_factors != nullptr) {
+    core::check_initial_factors(dist_.global_shape(), options_.base.rank,
+                                *initial_factors);
+  } else {
+    seeded = core::init_factors(dist_.global_shape(), options_.base.rank,
+                                options_.base.seed);
+  }
+  const std::vector<la::Matrix>& global_factors =
+      initial_factors != nullptr ? *initial_factors : seeded;
   grams_.resize(static_cast<std::size_t>(n_));
   for (int m = 0; m < n_; ++m) {
     fd_.set_q_from_global(m, global_factors[static_cast<std::size_t>(m)]);
@@ -393,7 +401,8 @@ ParResult par_cp_als(const dist::DistProblem& problem, int nprocs,
               sweep % hooks.checkpoint_every == 0)
             write_checkpoint(comm, ctx, hooks, sweep, fit, fit_old);
           if (!hooks_continue_collective(comm, hooks,
-                                         {timer.seconds(), fit, phase}))
+                                         {timer.seconds(), fit, phase},
+                                         ctx.factor_dist().slices()))
             break;
         }
         // Assemble global factors (collective); rank 0 keeps them.

@@ -5,7 +5,7 @@
 #include <optional>
 #include <vector>
 
-#include "parpp/core/cp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/dist/dist_tensor.hpp"
 #include "parpp/dist/factor_dist.hpp"
 #include "parpp/dist/local_problem.hpp"
@@ -85,32 +85,28 @@ struct ParResult {
   double post_shrink_nnz_imbalance = 0.0;
 };
 
-/// Global zero-column rescue matching core::hals_update: `s` is the
-/// already All-Reduced Gram of factor `mode`, whose diagonal is the global
-/// squared column norm — an exactly-zero entry means the column died on
-/// every rank. Each rank then refloors its true (non-padding) Q rows to
-/// eps_floor and `s` is rebuilt with one extra All-Reduce. Returns whether
-/// a rescue fired; when none does (the common case) no additional
-/// communication happens, preserving the legacy collective pattern.
-///
-/// Runs once per mode update (after the final inner pass), whereas the
-/// sequential hals_update rescues inside every inner pass — detecting a
-/// mid-iteration collapse globally would cost one collective per pass
-/// unconditionally. Parallel NNCP therefore matches sequential exactly
-/// for inner_iterations == 1 (the default); with more passes the two can
-/// differ only in the rare event that a column hits exactly zero on an
-/// inner pass that is not the last.
+/// Global zero-column rescue of the HALS update: `s` is the already
+/// All-Reduced Gram of factor `mode`, whose diagonal is the global squared
+/// column norm — an exactly-zero entry means the column died on every
+/// rank. Each rank then refloors its true (non-padding) Q rows to
+/// eps_floor (keeping Γ nonsingular) and `s` is rebuilt with one extra
+/// All-Reduce. Returns whether a rescue fired; when none does (the common
+/// case) no additional communication happens, preserving the legacy
+/// collective pattern. Runs once per mode update, after the final inner
+/// pass: detecting a mid-iteration collapse globally would cost one
+/// collective per pass unconditionally.
 bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
                          la::Matrix& s, double eps_floor);
 
 /// Collective verdict of `hooks.on_sweep`: rank 0 evaluates the hook, the
 /// verdict is all-reduced so every rank agrees on continuing. A no-op — and
 /// no extra collective, preserving legacy communication costs — when the
-/// hook is absent. The factor view passed to the hook is empty (factors
-/// live distributed).
-[[nodiscard]] bool hooks_continue_collective(mpsim::Comm& comm,
-                                             const core::DriverHooks& hooks,
-                                             const core::SweepRecord& rec);
+/// hook is absent. The hook sees `factors` (the rank's slices) on a
+/// one-rank run, where they are the whole factors, and an empty view
+/// otherwise (factors live distributed).
+[[nodiscard]] bool hooks_continue_collective(
+    mpsim::Comm& comm, const core::DriverHooks& hooks,
+    const core::SweepRecord& rec, const std::vector<la::Matrix>& factors);
 
 /// Per-rank state of Algorithm 3, shared by the plain, PLANC-style, PP and
 /// nonnegative parallel drivers. Constructed inside a rank body.
@@ -267,12 +263,14 @@ void write_checkpoint(const mpsim::Comm& comm, ParCpContext& ctx,
                       const core::DriverHooks& hooks, int sweep, double fit,
                       double fit_old);
 
-/// Runs Algorithm 3 end to end on `nprocs` simulated ranks. `problem`
-/// hides the storage: dist::DenseBlockProblem carves dense slabs,
-/// dist::make_sparse_problem partitions CSF nonzeros (uniform or
-/// nnz-balanced). With `nn` set the factor update is the row-local HALS
-/// rule (parallel NNCP, history phase "nncp"): the same collectives per
-/// sweep as ALS, since HALS needs nothing beyond Γ and the local M rows.
+/// Runs Algorithm 3 end to end on `nprocs` simulated ranks; nprocs == 1 is
+/// the sequential Algorithm 1 (one rank on a 1 x ... x 1 grid, run inline,
+/// every collective the identity). `problem` hides the storage:
+/// dist::DenseBlockProblem carves dense slabs, dist::make_sparse_problem
+/// partitions CSF nonzeros (uniform or nnz-balanced). With `nn` set the
+/// factor update is the row-local HALS rule (NNCP, history phase "nncp"):
+/// the same collectives per sweep as ALS, since HALS needs nothing beyond
+/// Γ and the local M rows.
 [[nodiscard]] ParResult par_cp_als(const dist::DistProblem& problem,
                                    int nprocs, const ParOptions& options,
                                    const core::NncpOptions* nn = nullptr,

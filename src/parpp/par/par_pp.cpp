@@ -11,18 +11,44 @@
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/par/elastic.hpp"
-#include "parpp/tensor/mttv.hpp"
 #include "parpp/util/timer.hpp"
 
 namespace parpp::par {
 
 namespace {
 
+/// Relative factor changes ||A(i) - ref(i)|| / ||A(i)|| over the Q rows,
+/// global (one All-Reduce of 2N scalars).
+std::vector<double> relative_changes(mpsim::Comm& comm,
+                                     const dist::FactorDist& fd,
+                                     const std::vector<la::Matrix>& ref) {
+  const int n = fd.order();
+  std::vector<double> sq(static_cast<std::size_t>(2 * n), 0.0);
+  for (int i = 0; i < n; ++i) {
+    const auto& q = fd.q(i);
+    la::Matrix dq = q;
+    dq.axpy(-1.0, ref[static_cast<std::size_t>(i)]);
+    const double fa = q.frobenius_norm();
+    const double fd_i = dq.frobenius_norm();
+    sq[static_cast<std::size_t>(i)] = fd_i * fd_i;
+    sq[static_cast<std::size_t>(n + i)] = fa * fa;
+  }
+  comm.allreduce_sum(sq.data(), static_cast<index_t>(sq.size()),
+                     PARPP_COMM_TAG("pp-drift-allreduce"));
+  std::vector<double> rel(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const double fa = std::sqrt(sq[static_cast<std::size_t>(n + i)]);
+    rel[static_cast<std::size_t>(i)] =
+        fa > 0.0 ? std::sqrt(sq[static_cast<std::size_t>(i)]) / fa : 0.0;
+  }
+  return rel;
+}
+
 /// Per-rank PP state layered over the Algorithm 3 context.
 class LocalPp {
  public:
-  LocalPp(mpsim::Comm& comm, ParCpContext& ctx)
-      : comm_(comm), ctx_(ctx), n_(ctx.order()),
+  LocalPp(mpsim::Comm& comm, ParCpContext& ctx, bool second_order)
+      : comm_(comm), ctx_(ctx), n_(ctx.order()), second_order_(second_order),
         ops_(ctx.local_problem().make_pp_operators(
             ctx.factor_dist().slices(), nullptr, ctx.engine_options())) {}
 
@@ -33,48 +59,37 @@ class LocalPp {
     const auto* donor =
         dynamic_cast<const core::TreeEngineBase*>(&ctx_.engine());
     ops_->build(donor);
-    // Snapshot A_p in both layouts; dS starts at zero.
+    // Snapshot A_p in both layouts; dA and dS start at zero.
     a_p_slice_.clear();
     a_p_q_.clear();
+    d_slices_.clear();
     d_grams_.assign(static_cast<std::size_t>(n_), la::Matrix());
     for (int m = 0; m < n_; ++m) {
-      a_p_slice_.push_back(ctx_.factor_dist().slice(m));
+      const la::Matrix& slice = ctx_.factor_dist().slice(m);
+      a_p_slice_.push_back(slice);
       a_p_q_.push_back(ctx_.factor_dist().q(m));
+      d_slices_.emplace_back(slice.rows(), slice.cols());
       d_grams_[static_cast<std::size_t>(m)] =
           la::Matrix(ctx_.grams()[static_cast<std::size_t>(m)].rows(),
                      ctx_.grams()[static_cast<std::size_t>(m)].cols());
     }
   }
 
-  /// dS(i) = A(i)^T dA(i) from Q rows + one R^2 All-Reduce.
-  void refresh_dgram(int i) {
+  /// Refreshes dA(i) on the slice after A(i) changed and, when the
+  /// second-order term is on, dS(i) = A(i)^T dA(i) from the Q rows plus one
+  /// R^2 All-Reduce.
+  void refresh_mode(int i) {
+    const auto ui = static_cast<std::size_t>(i);
+    d_slices_[ui] = ctx_.factor_dist().slice(i);
+    d_slices_[ui].axpy(-1.0, a_p_slice_[ui]);
+    if (!second_order_) return;
     const auto& q = ctx_.factor_dist().q(i);
     la::Matrix dq = q;
-    dq.axpy(-1.0, a_p_q_[static_cast<std::size_t>(i)]);
+    dq.axpy(-1.0, a_p_q_[ui]);
     la::Matrix ds = la::matmul(q, dq, la::Trans::kYes);
     comm_.allreduce_sum(ds.data(), ds.size(),
                         PARPP_COMM_TAG("pp-dgram-allreduce"));
-    d_grams_[static_cast<std::size_t>(i)] = std::move(ds);
-  }
-
-  /// Local ~M(n) before reduction: M_p(n)_loc + sum_i U(n,i)_loc
-  /// (Algorithm 4 lines 5-8). The V(n) term is added after the
-  /// Reduce-Scatter by the caller (line 10-11) via second_order_term().
-  [[nodiscard]] la::Matrix local_correction(int n) const {
-    la::Matrix m = ops_->mttkrp_p(n);
-    for (int i = 0; i < n_; ++i) {
-      if (i == n) continue;
-      const auto& op = ops_->pair_op(std::min(n, i), std::max(n, i));
-      const auto it = std::find(op.modes.begin(), op.modes.end(), i);
-      const int pos = static_cast<int>(it - op.modes.begin());
-      la::Matrix d_slice = ctx_.factor_dist().slice(i);
-      d_slice.axpy(-1.0, a_p_slice_[static_cast<std::size_t>(i)]);
-      tensor::DenseTensor u = tensor::mttv(op.data, pos, d_slice);
-      const double* ud = u.data();
-      double* md = m.data();
-      for (index_t x = 0; x < m.size(); ++x) md[x] += ud[x];
-    }
-    return m;
+    d_grams_[ui] = std::move(ds);
   }
 
   /// V(n) = A(n) W with the Hadamard chain of Eq. (7) over global dS / S;
@@ -99,39 +114,23 @@ class LocalPp {
     return la::matmul(ctx_.factor_dist().q(n), w);
   }
 
-  /// Relative factor changes ||dA(i)||/||A(i)|| vs the snapshot, global
-  /// (one All-Reduce of 2N scalars).
+  /// Relative factor changes vs the snapshot A_p.
   [[nodiscard]] std::vector<double> relative_changes() const {
-    std::vector<double> sq(static_cast<std::size_t>(2 * n_), 0.0);
-    for (int i = 0; i < n_; ++i) {
-      const auto& q = ctx_.factor_dist().q(i);
-      la::Matrix dq = q;
-      dq.axpy(-1.0, a_p_q_[static_cast<std::size_t>(i)]);
-      const double fa = q.frobenius_norm();
-      const double fd = dq.frobenius_norm();
-      sq[static_cast<std::size_t>(i)] = fd * fd;
-      sq[static_cast<std::size_t>(n_ + i)] = fa * fa;
-    }
-    comm_.allreduce_sum(sq.data(), static_cast<index_t>(sq.size()),
-                        PARPP_COMM_TAG("pp-drift-allreduce"));
-    std::vector<double> rel(static_cast<std::size_t>(n_));
-    for (int i = 0; i < n_; ++i) {
-      const double fa = std::sqrt(sq[static_cast<std::size_t>(n_ + i)]);
-      rel[static_cast<std::size_t>(i)] =
-          fa > 0.0 ? std::sqrt(sq[static_cast<std::size_t>(i)]) / fa : 0.0;
-    }
-    return rel;
+    return par::relative_changes(comm_, ctx_.factor_dist(), a_p_q_);
   }
 
-  /// One full PP-approximated sweep (Algorithm 4 lines 4-16).
+  /// One full PP-approximated sweep (Algorithm 4 lines 4-16): the local
+  /// M_p(n) + sum_i U(n,i) is reduce-scattered, V(n) is added on the Q
+  /// rows (lines 10-11) unless the second-order term is off.
   void approx_sweep() {
     for (int j = 0; j < n_; ++j) {
-      la::Matrix m_local = local_correction(j);
+      la::Matrix m_local = ops_->mttkrp_p(j);
+      core::add_first_order(*ops_, j, d_slices_, m_local, u_scratch_,
+                            nullptr);
       la::Matrix m_q = ctx_.factor_dist().reduce_scatter(j, m_local);
-      la::Matrix v = second_order_term(j);
-      m_q.axpy(1.0, v);
+      if (second_order_) m_q.axpy(1.0, second_order_term(j));
       ctx_.apply_pp_mttkrp(j, m_q);
-      refresh_dgram(j);
+      refresh_mode(j);
     }
   }
 
@@ -139,9 +138,13 @@ class LocalPp {
   mpsim::Comm& comm_;
   ParCpContext& ctx_;
   int n_;
+  bool second_order_;
   std::unique_ptr<core::PpOperators> ops_;
   std::vector<la::Matrix> a_p_slice_, a_p_q_;
+  std::vector<la::Matrix> d_slices_;  ///< dA(i) on the slice rows
   std::vector<la::Matrix> d_grams_;
+  util::KernelWorkspace ws_;  ///< backs the U(n,i) mTTV scratch
+  tensor::DenseTensor u_scratch_{ws_};
 };
 
 bool all_below(const std::vector<double>& rel, double eps) {
@@ -168,7 +171,7 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
         at.begin_epoch(ctx);
         if (nn != nullptr) ctx.enable_hals(*nn);
         const int n = ctx.order();
-        LocalPp pp(comm, ctx);
+        LocalPp pp(comm, ctx, pp_opt.second_order);
         WallTimer timer;
 
         // dA across the latest regular sweep; seeded large so regular
@@ -179,28 +182,6 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
           prev_q.emplace_back(ctx.factor_dist().q(m).rows(),
                               ctx.factor_dist().q(m).cols());
 
-        auto sweep_changes = [&] {
-          std::vector<double> sq(static_cast<std::size_t>(2 * n), 0.0);
-          for (int i = 0; i < n; ++i) {
-            const auto& q = ctx.factor_dist().q(i);
-            la::Matrix dq = q;
-            dq.axpy(-1.0, prev_q[static_cast<std::size_t>(i)]);
-            sq[static_cast<std::size_t>(i)] = std::pow(dq.frobenius_norm(), 2);
-            sq[static_cast<std::size_t>(n + i)] =
-                std::pow(q.frobenius_norm(), 2);
-          }
-          comm.allreduce_sum(sq.data(), static_cast<index_t>(sq.size()),
-                             PARPP_COMM_TAG("ppbench-drift-allreduce"));
-          std::vector<double> rel(static_cast<std::size_t>(n));
-          for (int i = 0; i < n; ++i) {
-            const double fa = std::sqrt(sq[static_cast<std::size_t>(n + i)]);
-            rel[static_cast<std::size_t>(i)] =
-                fa > 0.0 ? std::sqrt(sq[static_cast<std::size_t>(i)]) / fa
-                         : 0.0;
-          }
-          return rel;
-        };
-
         double fit = at.fit, fit_old = at.fit_old;
         int total = at.start_sweep;
         int last_checkpoint = at.start_sweep;
@@ -210,13 +191,16 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
         trace.sweep = total;
         auto sweep_hook = [&](const char* phase, double f) {
           if (!hooks_continue_collective(comm, hooks,
-                                         {timer.seconds(), f, phase}))
+                                         {timer.seconds(), f, phase},
+                                         ctx.factor_dist().slices()))
             aborted = true;
           return !aborted;
         };
         while (!aborted && total < par.base.max_sweeps &&
                std::abs(fit - fit_old) > par.base.tol) {
-          if (have_sweep && all_below(sweep_changes(), pp_opt.pp_tol)) {
+          if (have_sweep &&
+              all_below(relative_changes(comm, ctx.factor_dist(), prev_q),
+                        pp_opt.pp_tol)) {
             // ---- PP phase -----------------------------------------
             const Profile before_init = Profile::thread_default();
             // Trust-guard snapshot: the whole phase is discarded back to
@@ -239,7 +223,11 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
             int pp_sweeps = 0;
             bool discarded = false;
             double pp_fit = fit, pp_fit_old = fit - 1.0;
-            // Trust-guard floor — see the sequential driver.
+            // Trust-guard floor: the PP model can break down when Γ is
+            // rank-deficient (e.g. CP rank above a mode extent). A phase
+            // whose approximate fitness drops below this floor — or goes
+            // non-finite — is discarded wholesale and exact sweeps take
+            // over; the pair operators are rebuilt at the next phase entry.
             const double fit_floor =
                 fit - 10.0 * std::max(par.base.tol, 1e-6);
             while (all_below(pp.relative_changes(), pp_opt.pp_tol) &&
@@ -253,13 +241,22 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
               trace.sweep = total;
               trace.profiles.push_back(
                   Profile::thread_default().delta_since(before));
-              // Approximate fitness doubles as the inner stopping
-              // criterion (same role as in the sequential driver).
+              // Fitness from the approximated MTTKRP — cheap and close to
+              // exact while the PP condition holds. It is also the inner
+              // stopping criterion: the paper stops on the fitness
+              // difference of neighbouring sweeps, which must apply inside
+              // the PP phase too or a converged run would spin until
+              // max_sweeps.
               const double r = ctx.residual();
               pp_fit_old = pp_fit;
               pp_fit = core::fitness_from_residual(r);
               const ParCpContext::SweepHealth h = ctx.last_health();
-              if (comm.rank() == 0) record_health_events(result, total, h);
+              if (comm.rank() == 0) {
+                // Counted even if the guard below discards it, so the
+                // sweep kinds always add up to the sweep total.
+                ++result.num_pp_approx;
+                record_health_events(result, total, h);
+              }
               if (h.nonfinite > 0.0 || !std::isfinite(pp_fit) ||
                   pp_fit < fit_floor) {
                 // Replicated verdict: discard the approximated phase on
@@ -277,17 +274,17 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
                 }
                 break;
               }
-              if (comm.rank() == 0) {
-                ++result.num_pp_approx;
-                if (par.base.record_history) {
-                  result.history.push_back(
-                      {timer.seconds(), pp_fit, "pp-approx"});
-                }
+              if (comm.rank() == 0 && par.base.record_history &&
+                  pp_opt.record_pp_sweeps) {
+                result.history.push_back(
+                    {timer.seconds(), pp_fit, "pp-approx"});
               }
               if (!sweep_hook("pp-approx", pp_fit)) break;
             }
-            // Carry PP progress into the outer stopping comparison (see
-            // the sequential driver); a discarded phase keeps the entry
+            // Carry PP progress into the outer stopping comparison;
+            // otherwise the next regular sweep is compared against a
+            // fitness from before the whole phase and the loop
+            // re-initializes forever. A discarded phase keeps the entry
             // fitness — its sweeps were reverted.
             if (discarded)
               fit = fit_p;
@@ -372,7 +369,7 @@ PpKernelTimings time_pp_kernels(const tensor::DenseTensor& global_t,
         // One regular sweep to warm the tree cache (donor amortization).
         for (int i = 0; i < n; ++i) ctx.update_mode(i);
 
-        LocalPp pp(comm, ctx);
+        LocalPp pp(comm, ctx, /*second_order=*/true);
         const auto r = static_cast<std::size_t>(comm.rank());
         {
           WallTimer t;

@@ -6,22 +6,28 @@
 // In the approximated step the first-order corrections U(n,i) are likewise
 // local; the only collectives per factor update are the single
 // Reduce-Scatter of ~M(n), the R^2 Gram All-Reduce, the slice All-Gather
-// (identical to Algorithm 3) and one small All-Reduce for dS(i).
+// (identical to Algorithm 3) and one small All-Reduce for dS(i), which the
+// first-order-only ablation (PpOptions::second_order = false) skips.
 #pragma once
 
-#include "parpp/core/pp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/par/par_cp_als.hpp"
 
 namespace parpp::par {
 
 /// Runs PP-CP-ALS (Algorithm 2 with the Algorithm 4 subroutine) on
-/// `nprocs` simulated ranks. Storage-agnostic like par_cp_als: sparse
+/// `nprocs` simulated ranks: regular sweeps until the factors move slowly,
+/// then PP initialization + approximated sweeps, falling back to regular
+/// sweeps whenever the perturbation grows past pp_tol. nprocs == 1 is the
+/// sequential Algorithm 2. Storage-agnostic like par_cp_als: sparse
 /// problems run the same loop over CSF blocks (sparse PP operators,
-/// identical collective pattern). Regular sweeps use
+/// identical collective pattern) and never densify. Regular sweeps use
 /// core::pp_regular_engine(options.base.engine). With `nn` set the factor
-/// update is the row-local HALS rule (parallel PP-NNCP; see
-/// core::pp_cp_als for why the composition keeps PP's guarantees), with
-/// the same collectives and costs.
+/// update is the row-local HALS rule (PP-NNCP), with the same collectives
+/// and costs: PP only approximates the MTTKRP the update consumes, and the
+/// projection max(0, .) keeps the factors feasible whatever the
+/// approximation error. Regular sweeps are then labelled "nncp" in the
+/// history instead of "als".
 [[nodiscard]] ParResult par_pp_cp_als(const dist::DistProblem& problem,
                                       int nprocs, const ParOptions& options,
                                       const core::PpOptions& pp_options = {},

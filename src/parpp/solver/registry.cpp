@@ -5,21 +5,15 @@
 
 namespace parpp::solver {
 
-core::CpOptions base_options(const SolverSpec& spec) {
-  core::CpOptions o;
-  o.rank = spec.rank;
-  o.max_sweeps = spec.stopping.max_sweeps;
-  o.tol = spec.stopping.fitness_tol;
-  o.seed = spec.seed;
-  o.engine = spec.engine;
-  o.engine_options = spec.engine_options;
-  o.record_history = spec.record_history;
-  return o;
-}
-
 par::ParOptions par_options(const SolverSpec& spec, int order) {
   par::ParOptions p;
-  p.base = base_options(spec);
+  p.base.rank = spec.rank;
+  p.base.max_sweeps = spec.stopping.max_sweeps;
+  p.base.tol = spec.stopping.fitness_tol;
+  p.base.seed = spec.seed;
+  p.base.engine = spec.engine;
+  p.base.engine_options = spec.engine_options;
+  p.base.record_history = spec.record_history;
   p.grid_dims = spec.execution.grid_dims.empty()
                     ? mpsim::ProcessorGrid::balanced_dims(
                           spec.execution.nprocs, order)

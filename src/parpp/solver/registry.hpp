@@ -1,12 +1,11 @@
-// Method registry: what each Method means to the four driver cores.
+// Method registry: what each Method means to the two driver cores.
 //
 // A method is two independent choices — which sweep runs (plain ALS,
 // Algorithm 1/3, or pairwise perturbation, Algorithm 2/4) and which factor
 // update it applies (normal-equations solve or nonnegative HALS).
-// parpp::solve() reads both flags off the entry and calls one of
-// core::cp_als, core::pp_cp_als, par::par_cp_als or par::par_pp_cp_als on
-// the problem it built from the tensor source, passing &spec.nncp as the
-// update rule when the method is nonnegative.
+// parpp::solve() reads both flags off the entry and calls par::par_cp_als
+// or par::par_pp_cp_als on the problem it built from the tensor source,
+// passing &spec.nncp as the update rule when the method is nonnegative.
 #pragma once
 
 #include <string_view>
@@ -29,9 +28,9 @@ struct MethodEntry {
 /// All registered methods, in enum order (CLI help, bench sweeps).
 [[nodiscard]] const std::vector<MethodEntry>& registered_methods();
 
-/// Driver option structs derived from a spec — what solve() passes to the
-/// cores, exposed for tests that call a core directly.
-[[nodiscard]] core::CpOptions base_options(const SolverSpec& spec);
+/// The driver options derived from a spec for a tensor of `order` — what
+/// solve() passes to the cores, exposed for tests that call a core
+/// directly.
 [[nodiscard]] par::ParOptions par_options(const SolverSpec& spec, int order);
 
 }  // namespace parpp::solver

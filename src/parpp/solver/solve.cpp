@@ -1,5 +1,6 @@
 #include "parpp/solver/solve.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -20,26 +21,6 @@ using solver::SolveReport;
 using solver::SolverSpec;
 using solver::StopReason;
 
-SolveReport from_cp_result(core::CpResult&& r) {
-  SolveReport report;
-  report.factors = std::move(r.factors);
-  report.residual = r.residual;
-  report.fitness = r.fitness;
-  report.sweeps = r.sweeps;
-  report.history = std::move(r.history);
-  report.profile = r.profile;
-  report.num_als_sweeps = r.num_als_sweeps;
-  report.num_pp_init = r.num_pp_init;
-  report.num_pp_approx = r.num_pp_approx;
-  report.status = r.status;
-  report.recovery_log = std::move(r.recovery_log);
-  if (!report.history.empty() && report.sweeps > 0) {
-    report.mean_sweep_seconds =
-        report.history.back().seconds / static_cast<double>(report.sweeps);
-  }
-  return report;
-}
-
 SolveReport from_par_result(par::ParResult&& r) {
   SolveReport report;
   report.factors = std::move(r.factors);
@@ -59,40 +40,83 @@ SolveReport from_par_result(par::ParResult&& r) {
   report.nnz_imbalance = r.nnz_imbalance;
   report.final_ranks = r.final_ranks;
   report.post_shrink_nnz_imbalance = r.post_shrink_nnz_imbalance;
-  // The parallel cores report per-sweep slices of the slowest rank;
-  // aggregate them so report.profile is populated for both executions.
+  // The cores report per-sweep slices of the slowest rank; their sum is
+  // the run's profile.
   for (const Profile& p : report.sweep_profiles) report.profile.accumulate(p);
   return report;
 }
 
 /// Builds the storage-blind problem once and runs the one driver core the
-/// (execution, method) pair selects; the method's update rule travels as
-/// the nn pointer (null = normal-equations solve).
+/// method selects; a sequential execution is a one-rank run on a 1x...x1
+/// grid. The method's update rule travels as the nn pointer (null =
+/// normal-equations solve).
 SolveReport run_driver(const solver::TensorSource& t, const SolverSpec& spec,
                        const solver::MethodEntry& entry,
                        const core::DriverHooks& hooks) {
   const core::NncpOptions* nn = entry.nonnegative ? &spec.nncp : nullptr;
-  if (spec.execution.is_parallel()) {
-    const std::unique_ptr<dist::DistProblem> problem =
-        t.is_sparse()
-            ? dist::make_sparse_problem(t.sparse(), spec.execution.partition)
-            : std::make_unique<dist::DenseBlockProblem>(t.dense());
-    const int nprocs = spec.execution.nprocs;
-    const par::ParOptions options = solver::par_options(
-        spec, static_cast<int>(problem->global_shape().size()));
-    return from_par_result(
-        entry.pairwise_perturbation
-            ? par::par_pp_cp_als(*problem, nprocs, options, spec.pp, nn, hooks)
-            : par::par_cp_als(*problem, nprocs, options, nn, hooks));
-  }
-  const core::TensorProblem problem = t.is_sparse()
-                                          ? core::make_problem(t.sparse())
-                                          : core::make_problem(t.dense());
-  const core::CpOptions options = solver::base_options(spec);
-  return from_cp_result(
+  const int nprocs = spec.execution.nprocs;
+  // On one rank every partition is the same single block. The uniform one
+  // reads a CSF input in place; the balanced one would first flatten it to
+  // count its slices.
+  const dist::PartitionKind partition =
+      nprocs == 1 ? dist::PartitionKind::kUniformBlocks
+                  : spec.execution.partition;
+  const std::unique_ptr<dist::DistProblem> problem =
+      t.is_sparse() ? dist::make_sparse_problem(t.sparse(), partition)
+                    : std::make_unique<dist::DenseBlockProblem>(t.dense());
+  const par::ParOptions options = solver::par_options(
+      spec, static_cast<int>(problem->global_shape().size()));
+  return from_par_result(
       entry.pairwise_perturbation
-          ? core::pp_cp_als(problem, options, spec.pp, nn, hooks)
-          : core::cp_als(problem, options, nn, hooks));
+          ? par::par_pp_cp_als(*problem, nprocs, options, spec.pp, nn, hooks)
+          : par::par_cp_als(*problem, nprocs, options, nn, hooks));
+}
+
+/// Rejects the spec errors every rank body would otherwise hit at set-up
+/// and report as a comm-abort: each execution throws parpp::error for them
+/// before any rank starts.
+void check_runnable(const solver::TensorSource& t, const SolverSpec& spec,
+                    const solver::MethodEntry& entry) {
+  const std::vector<index_t>& shape =
+      t.is_sparse() ? t.sparse().shape() : t.dense().shape();
+  const std::size_t min_order = entry.pairwise_perturbation ? 3 : 2;
+  PARPP_CHECK(shape.size() >= min_order, "solve: method ", entry.name,
+              " needs a tensor of order >= ", min_order);
+  PARPP_CHECK(!entry.pairwise_perturbation ||
+                  (spec.pp.pp_tol > 0.0 && spec.pp.pp_tol < 1.0),
+              "solve: pp.pp_tol must be in (0,1)");
+  PARPP_CHECK(!entry.nonnegative || spec.nncp.inner_iterations >= 1,
+              "solve: nncp.inner_iterations must be >= 1");
+  const std::vector<int>& dims = spec.execution.grid_dims;
+  if (!dims.empty()) {
+    int volume = 1;
+    for (int d : dims) volume *= std::max(d, 0);
+    PARPP_CHECK(dims.size() == shape.size() &&
+                    volume == spec.execution.nprocs,
+                "solve: execution.grid_dims needs one positive extent per "
+                "tensor mode, multiplying to execution.nprocs");
+  }
+  if (!spec.initial_factors.empty())
+    core::check_initial_factors(shape, spec.rank, spec.initial_factors);
+  if (t.is_sparse()) {
+    // A one-rank run reads the input's trees in place (see
+    // dist::SparseBlockDist), so the PP pair-operator walks need all of
+    // them; every execution applies the rule, as the CLI does.
+    PARPP_CHECK(!entry.pairwise_perturbation ||
+                    t.sparse().layout() == tensor::CsfLayout::kAllModes,
+                "solve: the PP pair operators need a CSF tree per mode — "
+                "build the CsfTensor with CsfLayout::kAllModes");
+  } else {
+    PARPP_CHECK(spec.engine != core::EngineKind::kSparse,
+                "solve: the sparse engine needs CSF storage — pass a "
+                "tensor::CsfTensor");
+    PARPP_CHECK(spec.engine_options.scalar == la::Scalar::kF64 ||
+                    (spec.engine == core::EngineKind::kNaive &&
+                     !entry.pairwise_perturbation),
+                "solve: fp32 dense storage runs on the naive (fused) ALS "
+                "engine only — the tree engines and the dense PP operator "
+                "chains are fp64-only");
+  }
 }
 
 [[nodiscard]] bool aborted_status(core::SolveStatus s) {
@@ -162,6 +186,7 @@ solver::SolveReport solve(const solver::TensorSource& t,
     resume_state.prev_fitness = ck.prev_fitness;
     hooks.resume = &resume_state;
   }
+  check_runnable(t, eff, entry);
   if (!eff.initial_factors.empty())
     hooks.initial_factors = &eff.initial_factors;
 

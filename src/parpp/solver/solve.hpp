@@ -7,9 +7,9 @@
 //
 // Composes method x execution x engine with pluggable stopping, warm start
 // and per-sweep observation; see spec.hpp for the axes and registry.hpp for
-// how a method maps onto the four driver cores (core::cp_als,
-// core::pp_cp_als, par::par_cp_als, par::par_pp_cp_als), which callers
-// needing driver internals can also run directly on a problem.
+// how a method maps onto the two driver cores (par::par_cp_als,
+// par::par_pp_cp_als), which callers needing driver internals can also run
+// directly on a dist::DistProblem.
 #pragma once
 
 #include "parpp/solver/spec.hpp"
@@ -20,10 +20,10 @@ namespace parpp {
 /// sparse storage, uniformly (TensorSource converts implicitly from both).
 /// Sparse sources run the storage-agnostic cores through the CSF engine
 /// with the no-densification fitness identity, for every method (als, pp,
-/// nncp, pp-nncp) and both executions: simulated-parallel sparse runs
-/// partition the nonzeros over the grid with dist::SparseBlockDist. Throws
-/// parpp::error on an invalid spec (bad rank, warm-start shape mismatch,
-/// bad grid) or an unsupported cell.
+/// nncp, pp-nncp) and every execution: the nonzeros are partitioned over
+/// the grid with dist::SparseBlockDist. Throws parpp::error on an invalid
+/// spec (bad rank, warm-start shape mismatch, bad grid, an engine the
+/// storage cannot run) for every execution, before any rank starts.
 [[nodiscard]] solver::SolveReport solve(const solver::TensorSource& t,
                                         const solver::SolverSpec& spec);
 

@@ -15,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "parpp/core/cp_als.hpp"
-#include "parpp/core/pp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/mpsim/cost.hpp"
 #include "parpp/par/par_cp_als.hpp"
 
@@ -25,8 +24,8 @@ namespace parpp::solver {
 /// Non-owning view of the decomposition input — the storage axis of the
 /// solve. Implicitly constructible from either storage class, so
 /// parpp::solve(tensor, spec) reads the same for dense and sparse callers;
-/// the facade builds the matching storage-blind problem (core::TensorProblem
-/// or dist::DistProblem) from it, so sparse runs never densify. The
+/// the facade builds the matching storage-blind problem (a
+/// dist::DistProblem) from it, so sparse runs never densify. The
 /// referenced tensor must outlive the solve call.
 class TensorSource {
  public:
@@ -56,9 +55,10 @@ enum class Method {
   kPpNncp,    ///< PP-accelerated nonnegative HALS (new: PP × NNCP)
 };
 
-/// Where the sweeps run. nprocs <= 1 is the sequential driver; nprocs > 1
-/// runs the simulated message-passing runtime (Algorithm 3/4) with one
-/// thread-rank per processor.
+/// Where the sweeps run: the simulated message-passing runtime (Algorithm
+/// 3/4) with one thread-rank per processor. nprocs == 1, the sequential
+/// execution, is one rank on a 1 x ... x 1 grid that runs inline on the
+/// calling thread, where every collective is the identity.
 struct Execution {
   int nprocs = 1;
   /// Processor grid; empty picks mpsim::ProcessorGrid::balanced_dims.
@@ -66,6 +66,8 @@ struct Execution {
   /// How the R x R normal equations are solved on the grid (ignored by the
   /// HALS methods, whose update is row-local).
   par::SolveMode solve_mode = par::SolveMode::kDistributedRows;
+  /// OpenMP threads per rank when nprocs > 1. No effect on one rank, which
+  /// keeps the caller's OpenMP setting.
   int threads_per_rank = 1;
   /// How sparse inputs are partitioned over the grid: uniform blocks, or
   /// nnz-balanced chains-on-chains boundaries for skewed tensors (same
@@ -82,7 +84,7 @@ struct Execution {
   /// shrinks the communicator to the survivors, repartitions the tensor,
   /// and resumes from the buddy-replicated snapshot instead of aborting
   /// (SolveReport::status reports kRecoveredShrunk). kOff keeps the abort
-  /// semantics. Sequential executions ignore it.
+  /// semantics. One-rank executions, which cannot lose a rank, ignore it.
   par::ElasticOptions elastic = {};
 
   [[nodiscard]] bool is_parallel() const { return nprocs > 1; }
@@ -143,7 +145,7 @@ struct CheckpointOptions {
 enum class ObserverAction { kContinue, kStop };
 
 /// Per-sweep callback: receives the record just produced and a view of the
-/// current factors (empty for simulated-parallel runs, whose factors live
+/// current factors (empty when nprocs > 1, since the factors then live
 /// distributed until the run assembles them). Subsumes record_history for
 /// streaming progress and enables early abort.
 using Observer = std::function<ObserverAction(
@@ -159,8 +161,7 @@ struct SolverSpec {
   /// MTTKRP engine for the regular sweeps — one engine axis for every
   /// method (CpOptions::engine in the driver cores). The PP methods need a
   /// tree engine for their operator-build amortization, so kNaive is
-  /// promoted to kMsdt for them (core::pp_regular_engine), identically in
-  /// sequential and parallel execution.
+  /// promoted to kMsdt for them (core::pp_regular_engine).
   core::EngineKind engine = core::EngineKind::kMsdt;
   core::EngineOptions engine_options = {};
 
@@ -185,8 +186,8 @@ struct SolverSpec {
   Observer observer = {};
 };
 
-/// Result of a solve; the union of what the sequential and parallel driver
-/// cores report (parallel-only fields stay default for sequential runs).
+/// Result of a solve. Every execution runs on the simulated runtime, so a
+/// sequential run reports the same fields as a parallel one, for one rank.
 struct SolveReport {
   std::vector<la::Matrix> factors;
   double residual = 1.0;
@@ -194,6 +195,7 @@ struct SolveReport {
   int sweeps = 0;  ///< total sweeps of any kind
   StopReason stop_reason = StopReason::kConverged;
   std::vector<core::SweepRecord> history;
+  /// Kernel time and flops summed over the sweeps (of the slowest rank).
   Profile profile;
 
   /// Resilience outcome (kOk + empty log on the happy path). Any abort
@@ -207,18 +209,18 @@ struct SolveReport {
   int num_pp_init = 0;
   int num_pp_approx = 0;
 
-  // Simulated-parallel extras.
+  // Runtime accounting.
   mpsim::CostCounter comm_cost;
   double mean_sweep_seconds = 0.0;
   std::vector<Profile> sweep_profiles;
-  /// Per-category critical path across ranks (see ParResult); empty for
-  /// sequential runs — use `profile` there.
+  /// Per-category critical path across ranks (see ParResult); equals
+  /// `profile` on one rank.
   Profile critical_path_profile;
   /// Per-rank nonzero load imbalance, max / mean (1.0 = perfectly even;
-  /// 0.0 for dense or sequential runs, whose blocks report no nnz).
+  /// 0.0 for dense runs, whose blocks report no nnz).
   double nnz_imbalance = 0.0;
   /// Ranks the run finished on (== execution.nprocs unless an elastic
-  /// shrink removed some; 0 for sequential runs).
+  /// shrink removed some).
   int final_ranks = 0;
   /// nnz_imbalance of the repartitioned grid after the last shrink
   /// (0.0 when no shrink happened or the blocks report no nnz).

@@ -3,9 +3,9 @@
 // The paper's Figure 3c–f breaks each ALS sweep into five categories:
 // TTM, mTTV, hadamard, solve, and "others". Library kernels tag their work
 // with a ScopedProfile so drivers and benchmarks can report the same
-// breakdown. Profiling is per-thread-context: each simulator rank and the
-// sequential drivers own a Profile instance that kernels reach through an
-// explicit parameter or the thread-local default.
+// breakdown. Profiling is per-thread-context: each simulator rank (a
+// one-rank run on the calling thread) charges the thread-local default,
+// and callers may pass kernels an explicit Profile instead.
 #pragma once
 
 #include <array>

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "parpp/core/cp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/mpsim/cost.hpp"
 #include "parpp/util/cost_model.hpp"
 #include "test_util.hpp"
@@ -71,7 +71,7 @@ TEST(TableOneModel, MeasuredFlopsMatchDt) {
   opt.max_sweeps = 4;
   opt.tol = 0.0;
   opt.engine = core::EngineKind::kDt;
-  const auto result = core::cp_als(core::make_problem(t), opt);
+  const auto result = test::solve_als(t, opt);
   const TableOneModel model{3, s, r, 1};
   const double per_sweep = result.profile.flops(Kernel::kTTM) / 4.0;
   // TTM flops per sweep == 2 first-level TTMs == 4 s^3 R exactly.
@@ -87,7 +87,7 @@ TEST(TableOneModel, MeasuredFlopsMatchMsdt) {
   opt.max_sweeps = 9;  // multiple of N-1 plus warmup: rotation-aligned
   opt.tol = 0.0;
   opt.engine = core::EngineKind::kMsdt;
-  const auto result = core::cp_als(core::make_problem(t), opt);
+  const auto result = test::solve_als(t, opt);
   const TableOneModel model{3, s, r, 1};
   const double per_sweep = result.profile.flops(Kernel::kTTM) / 9.0;
   // Steady state: 2N/(N-1) s^N R = 3 s^3 R; allow the warm-up extra TTM.

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "parpp/core/cp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/core/fitness.hpp"
 #include "parpp/core/gram.hpp"
 #include "parpp/tensor/mttkrp_naive.hpp"
@@ -57,7 +57,7 @@ TEST_P(AlsEngines, RecoversLowRankTensor) {
   opt.max_sweeps = 150;
   opt.tol = 1e-9;
   opt.engine = GetParam();
-  const CpResult result = cp_als(make_problem(t), opt);
+  const solver::SolveReport result = test::solve_als(t, opt);
   EXPECT_GT(result.fitness, 0.9999)
       << engine_kind_name(GetParam()) << " should recover a rank-3 tensor";
   EXPECT_NEAR(test::explicit_residual(t, result.factors), result.residual,
@@ -74,7 +74,7 @@ TEST(CpAls, FitnessMonotonicallyNonDecreasing) {
   opt.rank = 5;
   opt.max_sweeps = 25;
   opt.tol = 0.0;  // run all sweeps
-  const CpResult result = cp_als(make_problem(t), opt);
+  const solver::SolveReport result = test::solve_als(t, opt);
   ASSERT_GE(result.history.size(), 2u);
   for (std::size_t i = 1; i < result.history.size(); ++i) {
     EXPECT_GE(result.history[i].fitness,
@@ -90,11 +90,11 @@ TEST(CpAls, EnginesProduceSameTrajectory) {
   opt.max_sweeps = 10;
   opt.tol = 0.0;
   opt.engine = EngineKind::kDt;
-  const CpResult dt = cp_als(make_problem(t), opt);
+  const solver::SolveReport dt = test::solve_als(t, opt);
   opt.engine = EngineKind::kMsdt;
-  const CpResult msdt = cp_als(make_problem(t), opt);
+  const solver::SolveReport msdt = test::solve_als(t, opt);
   opt.engine = EngineKind::kNaive;
-  const CpResult naive = cp_als(make_problem(t), opt);
+  const solver::SolveReport naive = test::solve_als(t, opt);
   EXPECT_NEAR(dt.fitness, msdt.fitness, 1e-8);
   EXPECT_NEAR(dt.fitness, naive.fitness, 1e-8);
   for (int m = 0; m < 3; ++m) {
@@ -111,7 +111,7 @@ TEST(CpAls, Order4Works) {
   opt.max_sweeps = 120;
   opt.tol = 1e-10;
   opt.engine = EngineKind::kMsdt;
-  const CpResult result = cp_als(make_problem(t), opt);
+  const solver::SolveReport result = test::solve_als(t, opt);
   EXPECT_GT(result.fitness, 0.999);
 }
 
@@ -121,7 +121,7 @@ TEST(CpAls, StopsOnTolerance) {
   opt.rank = 2;
   opt.max_sweeps = 300;
   opt.tol = 1e-4;
-  const CpResult result = cp_als(make_problem(t), opt);
+  const solver::SolveReport result = test::solve_als(t, opt);
   EXPECT_LT(result.sweeps, 300);
 }
 
@@ -131,7 +131,7 @@ TEST(CpAls, HistoryTimestampsIncrease) {
   opt.rank = 3;
   opt.max_sweeps = 5;
   opt.tol = 0.0;
-  const CpResult result = cp_als(make_problem(t), opt);
+  const solver::SolveReport result = test::solve_als(t, opt);
   for (std::size_t i = 1; i < result.history.size(); ++i)
     EXPECT_GE(result.history[i].seconds, result.history[i - 1].seconds);
 }
@@ -142,7 +142,7 @@ TEST(CpAls, ProfileAccountsWork) {
   opt.rank = 4;
   opt.max_sweeps = 3;
   opt.tol = 0.0;
-  const CpResult result = cp_als(make_problem(t), opt);
+  const solver::SolveReport result = test::solve_als(t, opt);
   EXPECT_GT(result.profile.flops(Kernel::kTTM), 0.0);
   EXPECT_GT(result.profile.flops(Kernel::kMTTV), 0.0);
   EXPECT_GT(result.profile.flops(Kernel::kSolve), 0.0);

@@ -85,7 +85,7 @@ TEST(Chemistry, CompressibleAtModerateRank) {
   als.rank = 16;
   als.max_sweeps = 80;
   als.tol = 1e-7;
-  const auto result = core::cp_als(core::make_problem(d), als);
+  const auto result = test::solve_als(d, als);
   EXPECT_GT(result.fitness, 0.9) << "density-fitting tensor should compress";
 }
 
@@ -119,7 +119,7 @@ TEST(Coil, LowRankCompressible) {
   als.rank = 16;
   als.max_sweeps = 60;
   als.tol = 1e-7;
-  const auto result = core::cp_als(core::make_problem(t), als);
+  const auto result = test::solve_als(t, als);
   EXPECT_GT(result.fitness, 0.8);
 }
 

@@ -535,6 +535,33 @@ double history_tol(const Cell& c) {
                                                                   : 0.0;
 }
 
+/// Checks a report against a recorded cell: counters, status and phases
+/// exactly, the history's fitness values within `tol` (0 = bit for bit).
+/// The callers check the final fitness, sum[5].
+void expect_matches(const Golden& want, const solver::SolveReport& r,
+                    double tol) {
+  const std::vector<std::string> sum = tokens(want.summary);
+  ASSERT_EQ(sum.size(), 6u);
+  EXPECT_EQ(r.sweeps, std::stoi(sum[0]));
+  EXPECT_EQ(r.num_als_sweeps, std::stoi(sum[1]));
+  EXPECT_EQ(r.num_pp_init, std::stoi(sum[2]));
+  EXPECT_EQ(r.num_pp_approx, std::stoi(sum[3]));
+  EXPECT_EQ(solver::to_string(r.status), sum[4]);
+  const std::vector<std::string> hist = tokens(want.history);
+  ASSERT_EQ(2 * r.history.size(), hist.size());
+  for (std::size_t i = 0; i < r.history.size(); ++i) {
+    const double fitness = hex_double(hist[2 * i + 1]);
+    EXPECT_EQ(r.history[i].phase, hist[2 * i]) << "sweep " << i;
+    if (tol == 0.0) {
+      EXPECT_EQ(r.history[i].fitness, fitness)
+          << "sweep " << i << " (" << r.history[i].phase << ")";
+    } else {
+      EXPECT_NEAR(r.history[i].fitness, fitness, tol)
+          << "sweep " << i << " (" << r.history[i].phase << ")";
+    }
+  }
+}
+
 class GoldenHistory : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(GoldenHistory, MatchesBitForBit) {
@@ -549,28 +576,8 @@ TEST_P(GoldenHistory, MatchesBitForBit) {
   const solver::SolverSpec spec = golden_spec(c);
   const solver::SolveReport r = c.sparse ? parpp::solve(golden_sparse(), spec)
                                          : parpp::solve(golden_dense(), spec);
-  const std::vector<std::string> sum = tokens(want->summary);
-  ASSERT_EQ(sum.size(), 6u);
-  EXPECT_EQ(r.sweeps, std::stoi(sum[0]));
-  EXPECT_EQ(r.num_als_sweeps, std::stoi(sum[1]));
-  EXPECT_EQ(r.num_pp_init, std::stoi(sum[2]));
-  EXPECT_EQ(r.num_pp_approx, std::stoi(sum[3]));
-  EXPECT_EQ(solver::to_string(r.status), sum[4]);
-  EXPECT_EQ(r.fitness, hex_double(sum[5]));
-  const std::vector<std::string> hist = tokens(want->history);
-  ASSERT_EQ(2 * r.history.size(), hist.size());
-  const double tol = history_tol(c);
-  for (std::size_t i = 0; i < r.history.size(); ++i) {
-    const double fitness = hex_double(hist[2 * i + 1]);
-    EXPECT_EQ(r.history[i].phase, hist[2 * i]) << "sweep " << i;
-    if (tol == 0.0) {
-      EXPECT_EQ(r.history[i].fitness, fitness)
-          << "sweep " << i << " (" << r.history[i].phase << ")";
-    } else {
-      EXPECT_NEAR(r.history[i].fitness, fitness, tol)
-          << "sweep " << i << " (" << r.history[i].phase << ")";
-    }
-  }
+  expect_matches(*want, r, history_tol(c));
+  EXPECT_EQ(r.fitness, hex_double(tokens(want->summary)[5]));
 }
 
 std::vector<Cell> all_cells() {
@@ -587,6 +594,140 @@ INSTANTIATE_TEST_SUITE_P(AllCells, GoldenHistory,
                          [](const ::testing::TestParamInfo<Cell>& param) {
                            return cell_name(param.param);
                          });
+
+/// The two PP options the 16 cells leave at their defaults, on the PP
+/// problems of the pp cells: a first-order-only approximation
+/// (PpOptions::second_order = false) and a history without the
+/// approximated sweeps (record_pp_sweeps = false). Recorded from the
+/// sequential PP driver before sequential solves ran on the parallel core.
+struct PpOptionCell {
+  bool sparse;
+  bool first_order;  ///< second_order = false; else record_pp_sweeps = false
+  int nprocs;
+};
+
+std::string pp_option_name(const PpOptionCell& c, bool recorded) {
+  return std::string(recorded || c.nprocs == 1 ? "pp_seq_" : "pp_par4_") +
+         (c.sparse ? "sparse" : "dense") +
+         (c.first_order ? "_first_order" : "_no_pp_records");
+}
+
+void PrintTo(const PpOptionCell& c, std::ostream* os) {
+  *os << pp_option_name(c, false);
+}
+
+const std::vector<Golden>& pp_option_table() {
+  static const std::vector<Golden> table{
+      {"pp_seq_dense_first_order", "24 10 5 9 recovered 0x1.dcf829c56be43p-1",
+       "als 0x1.7295b49c1c9a6p-1 "
+       "als 0x1.c10725a3f36e6p-1 "
+       "als 0x1.debbc1394c052p-1 "
+       "pp-init 0x1.debbc1394c052p-1 "
+       "pp-approx 0x1.e23d611d660eap-1 "
+       "als 0x1.e524240e5dd39p-1 "
+       "pp-init 0x1.e524240e5dd39p-1 "
+       "pp-approx 0x1.e80b5c45909c7p-1 "
+       "pp-approx 0x1p+0 "
+       "pp-approx 0x1p+0 "
+       "als 0x1.9c3058415cb34p-1 "
+       "als 0x1.9fdf97d757a4bp-1 "
+       "pp-init 0x1.9fdf97d757a4bp-1 "
+       "pp-approx 0x1.a3e03e6cc3ef8p-1 "
+       "pp-approx 0x1p+0 "
+       "als 0x1.b015173b3ea8fp-1 "
+       "als 0x1.c63d1d27fae29p-1 "
+       "als 0x1.d37cb096949b8p-1 "
+       "pp-init 0x1.d37cb096949b8p-1 "
+       "als 0x1.d9ae048ae0062p-1 "
+       "pp-init 0x1.d9ae048ae0062p-1 "
+       "pp-approx 0x1.da70ba20d9314p-1"},
+      {"pp_seq_dense_no_pp_records", "24 8 4 12 ok 0x1.d406ff7e0fadep-1",
+       "als 0x1.7295b49c1c9a6p-1 "
+       "als 0x1.c10725a3f36e6p-1 "
+       "als 0x1.debbc1394c052p-1 "
+       "pp-init 0x1.debbc1394c052p-1 "
+       "als 0x1.794ee8edbdee6p-1 "
+       "als 0x1.a81f38c523b14p-1 "
+       "als 0x1.b329863f11c16p-1 "
+       "pp-init 0x1.b329863f11c16p-1 "
+       "als 0x1.c69086b0ea0fp-1 "
+       "pp-init 0x1.c69086b0ea0fp-1 "
+       "als 0x1.d246032c2e574p-1 "
+       "pp-init 0x1.d246032c2e574p-1"},
+      {"pp_seq_sparse_first_order", "24 5 3 16 recovered 0x1.ff10452fceddbp-1",
+       "als 0x1.11f119a5edf2p-1 "
+       "als 0x1.80503b2732d28p-1 "
+       "als 0x1.b1139ea6b7f7ep-1 "
+       "pp-init 0x1.b1139ea6b7f7ep-1 "
+       "pp-approx 0x1.c6c2916a8e06ap-1 "
+       "pp-approx 0x1.c111f040377ffp-1 "
+       "als 0x1.d50f84d639e36p-1 "
+       "pp-init 0x1.d50f84d639e36p-1 "
+       "pp-approx 0x1.e4e3455b7e3fdp-1 "
+       "pp-approx 0x1.e2c6a450bd08bp-1 "
+       "pp-approx 0x1.de8eab36763ep-1 "
+       "pp-approx 0x1.db550d98c86dap-1 "
+       "pp-approx 0x1.d8bb2fb34fa5ap-1 "
+       "pp-approx 0x1.d6385d68f8a82p-1 "
+       "als 0x1.ec85bd1e77e4dp-1 "
+       "pp-init 0x1.ec85bd1e77e4dp-1 "
+       "pp-approx 0x1.f473f9938f71p-1 "
+       "pp-approx 0x1.f3a5ad834435ap-1 "
+       "pp-approx 0x1.f2573bb59a487p-1 "
+       "pp-approx 0x1.f18cad870a8fdp-1 "
+       "pp-approx 0x1.f1141a416327p-1 "
+       "pp-approx 0x1.f0c333e34982ap-1"},
+      {"pp_seq_sparse_no_pp_records", "24 4 2 18 ok 0x1.ffffe983b59c6p-1",
+       "als 0x1.11f119a5edf2p-1 "
+       "als 0x1.80503b2732d28p-1 "
+       "als 0x1.b1139ea6b7f7ep-1 "
+       "pp-init 0x1.b1139ea6b7f7ep-1 "
+       "als 0x1.feb65ac5fe39ap-1 "
+       "pp-init 0x1.feb65ac5fe39ap-1"},
+  };
+  return table;
+}
+
+class GoldenPpOptions : public ::testing::TestWithParam<PpOptionCell> {};
+
+// One rank reproduces the recording bit for bit; four ranks reduce in a
+// different order, so their histories are held to the 1e-8 seq/par parity
+// bound with identical phases and counters.
+TEST_P(GoldenPpOptions, MatchesSequentialRecording) {
+  const PpOptionCell c = GetParam();
+  const std::string name = pp_option_name(c, true);
+  const Golden* want = nullptr;
+  for (const Golden& g : pp_option_table())
+    if (name == g.cell) want = &g;
+  ASSERT_NE(want, nullptr) << "no golden record for " << name;
+
+  const OmpThreads one(1);
+  solver::SolverSpec spec =
+      golden_spec({Method::kPp, c.nprocs > 1, c.sparse});
+  if (c.first_order)
+    spec.pp.second_order = false;
+  else
+    spec.pp.record_pp_sweeps = false;
+  const solver::SolveReport r = c.sparse ? parpp::solve(golden_sparse(), spec)
+                                         : parpp::solve(golden_dense(), spec);
+  const double tol = c.nprocs == 1 ? 0.0 : 1e-8;
+  expect_matches(*want, r, tol);
+  EXPECT_NEAR(r.fitness, hex_double(tokens(want->summary)[5]), tol);
+}
+
+std::vector<PpOptionCell> pp_option_cells() {
+  std::vector<PpOptionCell> cells;
+  for (bool sparse : {false, true})
+    for (bool first_order : {true, false})
+      for (int nprocs : {1, 4}) cells.push_back({sparse, first_order, nprocs});
+  return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PpOptions, GoldenPpOptions, ::testing::ValuesIn(pp_option_cells()),
+    [](const ::testing::TestParamInfo<PpOptionCell>& param) {
+      return pp_option_name(param.param, false);
+    });
 
 }  // namespace
 }  // namespace parpp

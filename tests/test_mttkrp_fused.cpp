@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "parpp/core/cp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/core/dim_tree.hpp"
 #include "parpp/core/msdt.hpp"
 #include "parpp/tensor/mttkrp_fused.hpp"

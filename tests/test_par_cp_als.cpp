@@ -33,7 +33,7 @@ TEST_P(ParGrids, MatchesSequentialRun) {
   seq_opt.max_sweeps = 6;
   seq_opt.tol = 0.0;
   seq_opt.engine = core::EngineKind::kDt;
-  const core::CpResult seq = core::cp_als(core::make_problem(t), seq_opt);
+  const solver::SolveReport seq = test::solve_als(t, seq_opt);
 
   ParOptions par_opt;
   par_opt.base = seq_opt;
@@ -93,7 +93,7 @@ TEST(ParCpAls, Order4Grid) {
   seq_opt.rank = 3;
   seq_opt.max_sweeps = 4;
   seq_opt.tol = 0.0;
-  const core::CpResult seq = core::cp_als(core::make_problem(t), seq_opt);
+  const solver::SolveReport seq = test::solve_als(t, seq_opt);
   ParOptions opt;
   opt.base = seq_opt;
   opt.grid_dims = {2, 1, 2, 2};
@@ -108,7 +108,7 @@ TEST(ParCpAls, NonDivisibleExtentsStillExact) {
   seq_opt.rank = 3;
   seq_opt.max_sweeps = 5;
   seq_opt.tol = 0.0;
-  const core::CpResult seq = core::cp_als(core::make_problem(t), seq_opt);
+  const solver::SolveReport seq = test::solve_als(t, seq_opt);
   ParOptions opt;
   opt.base = seq_opt;
   opt.grid_dims = {2, 2, 2};

@@ -33,8 +33,7 @@ TEST(ParPp, TracksSequentialPpFitness) {
   base.tol = 1e-8;
   core::PpOptions pp;
   pp.pp_tol = 0.3;
-  const core::CpResult seq =
-      core::pp_cp_als(core::make_problem(gen.tensor), base, pp);
+  const solver::SolveReport seq = test::solve_pp(gen.tensor, base, pp);
 
   ParOptions opt;
   opt.base = base;

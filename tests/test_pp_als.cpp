@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "parpp/core/pp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/data/collinearity.hpp"
 #include "test_util.hpp"
 
@@ -15,10 +15,10 @@ TEST(PpAls, ReachesAlsFitnessOnLowRank) {
   opt.rank = 3;
   opt.max_sweeps = 200;
   opt.tol = 1e-9;
-  const CpResult als = cp_als(make_problem(t), opt);
+  const solver::SolveReport als = test::solve_als(t, opt);
   PpOptions pp;
   pp.pp_tol = 0.1;
-  const CpResult ppr = pp_cp_als(make_problem(t), opt, pp);
+  const solver::SolveReport ppr = test::solve_pp(t, opt, pp);
   EXPECT_GT(ppr.fitness, 0.999);
   EXPECT_NEAR(ppr.fitness, als.fitness, 5e-3);
 }
@@ -34,7 +34,7 @@ TEST(PpAls, ActivatesPpSweepsOnSlowConvergence) {
   opt.tol = 1e-8;
   PpOptions pp;
   pp.pp_tol = 0.1;
-  const CpResult result = pp_cp_als(make_problem(gen.tensor), opt, pp);
+  const solver::SolveReport result = test::solve_pp(gen.tensor, opt, pp);
   EXPECT_GT(result.num_pp_init, 0) << "PP should have initialized";
   EXPECT_GT(result.num_pp_approx, 0) << "PP sweeps should have run";
   EXPECT_GT(result.num_als_sweeps, 0);
@@ -46,7 +46,7 @@ TEST(PpAls, StatsSumToTotalSweeps) {
   opt.rank = 3;
   opt.max_sweeps = 80;
   opt.tol = 1e-8;
-  const CpResult r = pp_cp_als(make_problem(gen.tensor), opt);
+  const solver::SolveReport r = test::solve_pp(gen.tensor, opt);
   EXPECT_EQ(r.sweeps, r.num_als_sweeps + r.num_pp_init + r.num_pp_approx);
 }
 
@@ -56,7 +56,7 @@ TEST(PpAls, FinalFitnessMatchesExplicitResidual) {
   opt.rank = 2;
   opt.max_sweeps = 100;
   opt.tol = 1e-9;
-  const CpResult r = pp_cp_als(make_problem(t), opt);
+  const solver::SolveReport r = test::solve_pp(t, opt);
   EXPECT_NEAR(test::explicit_residual(t, r.factors), r.residual, 1e-5);
 }
 
@@ -68,7 +68,7 @@ TEST(PpAls, HistoryPhasesAreLabelled) {
   opt.tol = 1e-9;
   PpOptions pp;
   pp.pp_tol = 0.1;
-  const CpResult r = pp_cp_als(make_problem(gen.tensor), opt, pp);
+  const solver::SolveReport r = test::solve_pp(gen.tensor, opt, pp);
   bool saw_als = false, saw_init = false, saw_approx = false;
   for (const auto& rec : r.history) {
     saw_als |= rec.phase == "als";
@@ -88,7 +88,7 @@ TEST(PpAls, Order4Converges) {
   opt.tol = 1e-9;
   PpOptions pp;
   pp.pp_tol = 0.1;
-  const CpResult r = pp_cp_als(make_problem(t), opt, pp);
+  const solver::SolveReport r = test::solve_pp(t, opt, pp);
   EXPECT_GT(r.fitness, 0.99);
 }
 
@@ -97,7 +97,7 @@ TEST(PpAls, RejectsBadTolerance) {
   CpOptions opt;
   PpOptions pp;
   pp.pp_tol = 1.5;
-  EXPECT_THROW((void)pp_cp_als(make_problem(t), opt, pp), error);
+  EXPECT_THROW((void)test::solve_pp(t, opt, pp), error);
 }
 
 TEST(PpAls, DtRegularEngineAlsoWorks) {
@@ -107,7 +107,7 @@ TEST(PpAls, DtRegularEngineAlsoWorks) {
   opt.max_sweeps = 100;
   opt.tol = 1e-9;
   opt.engine = EngineKind::kDt;
-  const CpResult r = pp_cp_als(make_problem(t), opt);
+  const solver::SolveReport r = test::solve_pp(t, opt);
   EXPECT_GT(r.fitness, 0.999);
 }
 

@@ -90,7 +90,7 @@ TEST(PpApprox, SecondOrderTermReducesErrorNearConvergence) {
   warm.max_sweeps = 15;
   warm.tol = 0.0;
   warm.seed = 405;
-  auto a_p = cp_als(make_problem(t), warm).factors;
+  auto a_p = test::solve_als(t, warm).factors;
   auto factors = a_p;
   Rng rng(406);
   for (auto& f : factors) {

@@ -303,8 +303,10 @@ TEST(ScalarKernels, DenseFusedF32ConvergesLikeF64) {
 }
 
 solver::SolveReport run_sparse(const tensor::CsfTensor& t,
-                               solver::Method method, la::Scalar scalar) {
+                               solver::Method method, la::Scalar scalar,
+                               int nprocs = 1) {
   solver::SolverSpec spec;
+  spec.execution.nprocs = nprocs;
   spec.method = method;
   spec.rank = 5;
   spec.seed = 7;
@@ -327,10 +329,16 @@ TEST(ScalarKernels, SparseF32ConvergesLikeF64) {
 TEST(ScalarKernels, SparsePpF32ConvergesLikeF64) {
   const auto data = data::make_sparse_lowrank({16, 14, 12}, 5, 0.08, 986);
   const tensor::CsfTensor csf(data.tensor);
-  const auto r64 = run_sparse(csf, solver::Method::kPp, la::Scalar::kF64);
-  const auto r32 = run_sparse(csf, solver::Method::kPp, la::Scalar::kF32);
-  EXPECT_GT(r64.num_pp_approx, 0);  // PP actually engaged
-  EXPECT_NEAR(r32.fitness, r64.fitness, 1e-4);
+  // One rank and four run the same first-order correction, which streams
+  // the fp32 pair-operator mirror.
+  for (int nprocs : {1, 4}) {
+    const auto r64 =
+        run_sparse(csf, solver::Method::kPp, la::Scalar::kF64, nprocs);
+    const auto r32 =
+        run_sparse(csf, solver::Method::kPp, la::Scalar::kF32, nprocs);
+    EXPECT_GT(r64.num_pp_approx, 0) << nprocs;  // PP actually engaged
+    EXPECT_NEAR(r32.fitness, r64.fitness, 1e-4) << nprocs;
+  }
 }
 
 // fp32 pair operators: parity of the PpOperators build + the fp32-streamed

@@ -66,7 +66,7 @@ TEST(SolverRegistry, ListsEveryMethodOnce) {
   for (const MethodEntry& e : methods) {
     EXPECT_EQ(&method_entry(e.method), &e);
     EXPECT_EQ(e.name, to_string(e.method));
-    // The two flags select among the four driver cores.
+    // One flag selects the driver core, the other its update rule.
     EXPECT_EQ(e.pairwise_perturbation,
               e.method == Method::kPp || e.method == Method::kPpNncp);
     EXPECT_EQ(e.nonnegative,
@@ -75,13 +75,15 @@ TEST(SolverRegistry, ListsEveryMethodOnce) {
 }
 
 // --- spec round-trips: facade == driver core, bit for bit -----------------
+// The sequential cells call the core on one rank, which is what a
+// sequential execution runs.
 
 TEST(SolveFacade, AlsMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 901);
   const SolverSpec spec = small_spec(Method::kAls);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult legacy =
-      core::cp_als(core::make_problem(t), base_options(spec));
+  const par::ParResult legacy = par::par_cp_als(
+      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()));
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -92,8 +94,8 @@ TEST(SolveFacade, PpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 902);
   const SolverSpec spec = small_spec(Method::kPp);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult legacy =
-      core::pp_cp_als(core::make_problem(t), base_options(spec), spec.pp);
+  const par::ParResult legacy = par::par_pp_cp_als(
+      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()), spec.pp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -105,8 +107,9 @@ TEST(SolveFacade, NncpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 903);
   const SolverSpec spec = small_spec(Method::kNncpHals);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult legacy =
-      core::cp_als(core::make_problem(t), base_options(spec), &spec.nncp);
+  const par::ParResult legacy =
+      par::par_cp_als(dist::DenseBlockProblem(t), 1,
+                      par_options(spec, t.order()), &spec.nncp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -116,8 +119,9 @@ TEST(SolveFacade, PpNncpMatchesDriverSequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 904);
   const SolverSpec spec = small_spec(Method::kPpNncp);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult legacy = core::pp_cp_als(
-      core::make_problem(t), base_options(spec), spec.pp, &spec.nncp);
+  const par::ParResult legacy =
+      par::par_pp_cp_als(dist::DenseBlockProblem(t), 1,
+                         par_options(spec, t.order()), spec.pp, &spec.nncp);
   expect_factors_identical(facade.factors, legacy.factors);
   EXPECT_EQ(facade.fitness, legacy.fitness);
   EXPECT_EQ(facade.sweeps, legacy.sweeps);
@@ -245,6 +249,9 @@ TEST(SolveFacade, WarmStartRejectsShapeMismatch) {
   const auto t = test::low_rank_tensor({8, 7, 6}, 3, 912);
   SolverSpec spec = small_spec(Method::kAls, 3);
   spec.initial_factors = core::init_factors({8, 7, 5}, 3, 1);
+  EXPECT_THROW((void)parpp::solve(t, spec), error);
+  // Rejected before any rank starts, not reported as a comm-abort.
+  spec.execution = Execution::simulated_parallel(4);
   EXPECT_THROW((void)parpp::solve(t, spec), error);
 }
 

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <vector>
 
-#include "parpp/core/pp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/solver/solver.hpp"
@@ -119,10 +119,8 @@ TEST(SparsePp, SequentialSolveTracksDensifiedRun) {
   options.seed = 7;
   core::PpOptions pp;
 
-  const core::CpResult sparse_run =
-      core::pp_cp_als(core::make_problem(csf), options, pp);
-  const core::CpResult dense_run =
-      core::pp_cp_als(core::make_problem(dense), options, pp);
+  const solver::SolveReport sparse_run = test::solve_pp(csf, options, pp);
+  const solver::SolveReport dense_run = test::solve_pp(dense, options, pp);
 
   ASSERT_EQ(sparse_run.history.size(), dense_run.history.size());
   for (std::size_t s = 0; s < sparse_run.history.size(); ++s) {

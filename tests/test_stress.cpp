@@ -6,7 +6,7 @@
 #include <tuple>
 
 #include "parpp/core/gram.hpp"
-#include "parpp/core/pp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/core/solve_update.hpp"
 #include "parpp/par/par_cp_als.hpp"
@@ -80,7 +80,7 @@ TEST_P(ParallelStress, GridMatchesSequential) {
   opt.max_sweeps = 4;
   opt.tol = 0.0;
   opt.seed = seed + 2;
-  const auto seq = core::cp_als(core::make_problem(t), opt);
+  const auto seq = test::solve_als(t, opt);
 
   par::ParOptions popt;
   popt.base = opt;
@@ -110,10 +110,10 @@ TEST_P(PpStress, TracksAlsWithinTolerance) {
   opt.rank = rank;
   opt.max_sweeps = 100;
   opt.tol = 1e-8;
-  const auto als = core::cp_als(core::make_problem(t), opt);
+  const auto als = test::solve_als(t, opt);
   core::PpOptions pp;
   pp.pp_tol = 0.1;
-  const auto ppr = core::pp_cp_als(core::make_problem(t), opt, pp);
+  const auto ppr = test::solve_pp(t, opt, pp);
   EXPECT_GE(ppr.fitness, als.fitness - 0.01)
       << "PP must not lose meaningful fitness on " << shape.size()
       << "-order instance";

@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "parpp/core/cp_als.hpp"
+#include "parpp/core/driver.hpp"
 #include "parpp/la/matrix.hpp"
-#include "parpp/solver/spec.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/tensor/dense_tensor.hpp"
 #include "parpp/tensor/reconstruct.hpp"
 #include "parpp/util/rng.hpp"
@@ -56,6 +56,30 @@ inline solver::SolverSpec spec_like(solver::Method method,
   spec.stopping.max_sweeps = opt.max_sweeps;
   spec.stopping.fitness_tol = opt.tol;
   return spec;
+}
+
+/// spec_like plus `opt`'s engine and history setting: the sequential spec
+/// that runs what a driver core runs with `opt` on one rank.
+inline solver::SolverSpec core_spec(solver::Method method,
+                                    const core::CpOptions& opt) {
+  solver::SolverSpec spec = spec_like(method, opt);
+  spec.engine = opt.engine;
+  spec.engine_options = opt.engine_options;
+  spec.record_history = opt.record_history;
+  return spec;
+}
+
+inline solver::SolveReport solve_als(const solver::TensorSource& t,
+                                     const core::CpOptions& opt) {
+  return parpp::solve(t, core_spec(solver::Method::kAls, opt));
+}
+
+inline solver::SolveReport solve_pp(const solver::TensorSource& t,
+                                    const core::CpOptions& opt,
+                                    const core::PpOptions& pp = {}) {
+  solver::SolverSpec spec = core_spec(solver::Method::kPp, opt);
+  spec.pp = pp;
+  return parpp::solve(t, spec);
 }
 
 /// Exact low-rank tensor with known factors.
