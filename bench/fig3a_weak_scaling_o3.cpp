@@ -6,6 +6,8 @@
 // the mean per-sweep wall time of PLANC (DT + sequential solve), our DT,
 // MSDT, the PP initialization step and the PP approximated step, plus the
 // modeled horizontal-communication words of the busiest rank.
+#include <omp.h>
+
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -29,6 +31,10 @@ double mean_sweep_seconds(const tensor::DenseTensor& t, int procs,
 
 int main(int argc, char** argv) {
   bench::Args args(argc, argv);
+  // Each simulated rank runs one OpenMP thread (ParOptions'
+  // threads_per_rank). The 1x...x1 point runs inline on this thread with
+  // this thread's team, so give it the same single thread.
+  omp_set_num_threads(1);
   const index_t slocal = args.get_long("--slocal", 48);
   const index_t rank = args.get_long("--rank", 32);
   const int max_procs = static_cast<int>(args.get_long("--max-procs", 16));

@@ -2,6 +2,8 @@
 //
 // Paper setting: s_local = 75, R = 200, grids 1x1x1x1 .. 4x4x8x8. Scaled
 // default: s_local = 16, R = 24, up to --max-procs simulated ranks.
+#include <omp.h>
+
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -14,6 +16,10 @@ using namespace parpp;
 
 int main(int argc, char** argv) {
   bench::Args args(argc, argv);
+  // Each simulated rank runs one OpenMP thread (ParOptions'
+  // threads_per_rank). The 1x...x1 point runs inline on this thread with
+  // this thread's team, so give it the same single thread.
+  omp_set_num_threads(1);
   const index_t slocal = args.get_long("--slocal", 16);
   const index_t rank = args.get_long("--rank", 24);
   const int max_procs = static_cast<int>(args.get_long("--max-procs", 16));
